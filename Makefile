@@ -16,7 +16,7 @@ race:
 
 # lint runs the standard vet suite, then the repo's own analyzers
 # (maporder, checkedverify, pointkey, staticdrc, shadowbuiltin,
-# nondeterm, specwrite, hotalloc) twice: through the vettool protocol
+# nondeterm, hotalloc) twice: through the vettool protocol
 # (facts flow via .vetx files) and standalone over the internal and
 # cmd trees (facts flow via go list dependency order) — the standalone
 # pass is what CI's lint job runs with -github annotations.

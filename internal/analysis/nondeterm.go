@@ -69,7 +69,7 @@ func runNonDeterm(pass *framework.Pass) error {
 	inReport := reportScope(path, "nondeterm", nondetermScope, true)
 
 	for _, u := range dirs.Unknown() {
-		pass.Reportf(u.Pos, "unknown directive //oc:%s (known: hotpath, workersafe, clock-ok)", u.Name)
+		pass.Reportf(u.Pos, "unknown directive //oc:%s (known: hotpath, clock-ok)", u.Name)
 	}
 
 	if inReport {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"overcell/internal/geom"
 	"overcell/internal/grid"
@@ -64,64 +63,28 @@ type Result struct {
 
 // Router routes level B nets on a shared grid. The grid may already
 // contain obstacles (from grid.BlockRect) and previously committed
-// routing; a Router does not take ownership of it. With Config.Workers
-// above one the first pass speculates batches of nets concurrently
-// (see parallel.go); results are identical to the serial run.
+// routing; a Router does not take ownership of it. Nets route one at a
+// time in routing order: each net's cost depends on the metal the
+// earlier nets committed inside its corner windows.
 type Router struct {
-	g   *grid.Grid
-	cfg Config
-	tr  obs.Tracer
-	// clk timestamps speculation attempts for the perf observer; it is
-	// the injectable Config.Clock (wall clock by default).
-	clk func() time.Time
-	// workerNames caches "w0".."wN" pprof label values so repeated
-	// batches don't re-concatenate them; grown only by the committer
-	// goroutine in speculate.
-	workerNames []string
-	// wenvs and specs are the parallel pass's reusable per-worker-slot
-	// environments and speculation records, re-armed serially at every
-	// batch boundary (see parallel.go); delta is the reusable batch
-	// delta. All three are owned by the committer goroutine whenever any
-	// worker goroutines are not between spawn and join.
-	wenvs []*workerEnv
-	specs []*speculation
-	delta batchDelta
+	g    *grid.Grid
+	cfg  Config
+	tr   obs.Tracer
+	eval *costEvaluator
+	// search is the router's reusable TIG searcher: every two-terminal
+	// connection runs on the same scratch arenas. A Search invalidates
+	// the previous Search's result memory, which is safe here because
+	// connect/selectBest/addPath consume each result fully before the
+	// next search starts.
+	search *tig.Searcher
 }
 
 // New returns a router over g.
 func New(g *grid.Grid, cfg Config) *Router {
-	return &Router{g: g, cfg: cfg, tr: cfg.tracer(), clk: cfg.clock()}
-}
-
-// routeEnv is the execution surface one routing attempt runs against.
-// The serial pass routes on the live grid with the real tracer and the
-// run budget; a parallel speculation swaps in a private grid snapshot,
-// a buffering event recorder, a speculative budget fork and its own
-// cost evaluator, so routeNet and everything below it is oblivious to
-// which mode it runs in. Config knobs are still read from the Router —
-// they are immutable for the duration of a run.
-type routeEnv struct {
-	g      *grid.Grid
-	tr     obs.Tracer
-	budget *robust.Budget
-	eval   *costEvaluator
-	// search is the attempt's reusable TIG searcher: every two-terminal
-	// connection of every net routed through this env runs on the same
-	// scratch arenas. A Search invalidates the previous Search's result
-	// memory, which is safe here because connect/selectBest/addPath
-	// consume each result fully before the next search starts.
-	search *tig.Searcher
-	// read, when non-nil, accumulates the dilated grid windows the
-	// attempt's searches and cost evaluations observe; the parallel
-	// committer tests them against earlier commits to decide whether
-	// the speculation is still valid (see parallel.go).
-	read *readWindow
-}
-
-// noteRead records one search window when read tracking is on.
-func (e *routeEnv) noteRead(cols, rows geom.Interval) {
-	if e.read != nil {
-		e.read.add(cols, rows)
+	return &Router{
+		g: g, cfg: cfg, tr: cfg.tracer(),
+		eval:   newCostEvaluator(g, cfg.Weights),
+		search: tig.NewSearcher(),
 	}
 }
 
@@ -148,11 +111,6 @@ func (r *Router) Route(nets []*netlist.Net) (*Result, error) {
 			r.g.MarkTerminal(p.Col, p.Row)
 		}
 	}
-	env := &routeEnv{
-		g: r.g, tr: r.tr, budget: r.cfg.Budget,
-		eval:   newCostEvaluator(r.g, r.cfg.Weights),
-		search: tig.NewSearcher(),
-	}
 	res := &Result{}
 	ordered := orderNets(nets, r.cfg.Order)
 	ranks := make(map[netlist.NetID]int, len(ordered))
@@ -162,14 +120,16 @@ func (r *Router) Route(nets []*netlist.Net) (*Result, error) {
 	routes := make(map[netlist.NetID]*NetRoute, len(nets))
 	shapes := make(map[netlist.NetID]*shape, len(nets))
 	var sticky error
-	if w := r.cfg.workers(); w > 1 && len(ordered) > 1 {
-		sticky = r.routeAllSpeculative(env, ordered, termPts, routes, shapes, res, w)
-	} else {
-		sticky = r.routeAllSerial(env, ordered, termPts, routes, shapes, res)
+	for rank, net := range ordered {
+		if sticky = r.pollSticky(sticky); sticky != nil {
+			routes[net.ID] = skippedRoute(net, termPts[net.ID], sticky)
+			continue
+		}
+		routes[net.ID], shapes[net.ID] = r.routeNet(net, termPts[net.ID], res, rank+1)
 	}
 	if sticky == nil {
-		r.recover(env, ordered, termPts, ranks, routes, shapes, res)
-		sticky = env.budget.Err() // a trip during recovery still surfaces
+		r.recover(ordered, termPts, ranks, routes, shapes, res)
+		sticky = r.cfg.Budget.Err() // a trip during recovery still surfaces
 	}
 	for _, net := range ordered {
 		nr := routes[net.ID]
@@ -187,37 +147,17 @@ func (r *Router) Route(nets []*netlist.Net) (*Result, error) {
 	return res, nil
 }
 
-// routeAllSerial is the first pass in its original form: one net at a
-// time in routing order on the live grid.
-func (r *Router) routeAllSerial(env *routeEnv, ordered []*netlist.Net,
-	termPts map[netlist.NetID][]tig.Point,
-	routes map[netlist.NetID]*NetRoute, shapes map[netlist.NetID]*shape,
-	res *Result) error {
-	var sticky error
-	for rank, net := range ordered {
-		if sticky = r.pollSticky(env, sticky); sticky != nil {
-			routes[net.ID] = skippedRoute(net, termPts[net.ID], sticky)
-			continue
-		}
-		nr, sh := r.routeNet(env, net, termPts[net.ID], res, rank+1)
-		routes[net.ID] = nr
-		shapes[net.ID] = sh
-	}
-	return sticky
-}
-
 // pollSticky folds the budget's run-level state into sticky, emitting
-// the run-level EvBudget event once on the first trip. Both the serial
-// loop and the parallel committer call it before every net so sticky
-// semantics are identical across modes.
-func (r *Router) pollSticky(env *routeEnv, sticky error) error {
+// the run-level EvBudget event once on the first trip. Route calls it
+// before every net of the first pass.
+func (r *Router) pollSticky(sticky error) error {
 	if sticky != nil {
 		return sticky
 	}
-	if sticky = env.budget.Err(); sticky != nil && env.tr.Enabled() {
-		env.tr.Emit(obs.Event{
+	if sticky = r.cfg.Budget.Err(); sticky != nil && r.tr.Enabled() {
+		r.tr.Emit(obs.Event{
 			Type: obs.EvBudget, Phase: "level-b",
-			Expanded: int(env.budget.Used()), Failed: true,
+			Expanded: int(r.cfg.Budget.Used()), Failed: true,
 		})
 	}
 	return sticky
@@ -235,15 +175,13 @@ func skippedRoute(net *netlist.Net, terms []tig.Point, cause error) *NetRoute {
 // recover runs bounded rip-up-and-reroute passes: every net that could
 // not complete lifts a set of committed nets out of its congestion
 // window, takes the freed space first, and the lifted nets re-route
-// after it. Passes repeat while they make progress. Recovery is always
-// serial — rip-up retries mutate the live grid — regardless of
-// Config.Workers, which only parallelises the first pass.
-func (r *Router) recover(env *routeEnv, ordered []*netlist.Net,
+// after it. Passes repeat while they make progress.
+func (r *Router) recover(ordered []*netlist.Net,
 	termPts map[netlist.NetID][]tig.Point, ranks map[netlist.NetID]int,
 	routes map[netlist.NetID]*NetRoute, shapes map[netlist.NetID]*shape,
 	res *Result) {
 	for pass := 0; pass < r.cfg.ripupPasses(); pass++ {
-		if env.budget.Err() != nil {
+		if r.cfg.Budget.Err() != nil {
 			return
 		}
 		progress := false
@@ -252,22 +190,22 @@ func (r *Router) recover(env *routeEnv, ordered []*netlist.Net,
 			if routes[net.ID].Err == nil {
 				continue
 			}
-			if env.budget.Err() != nil {
+			if r.cfg.Budget.Err() != nil {
 				return
 			}
 			attempts++
-			if r.retryWithRipup(env, net, ordered, termPts, ranks, routes, shapes, res) {
+			if r.retryWithRipup(net, ordered, termPts, ranks, routes, shapes, res) {
 				progress = true
 			}
 		}
-		if env.tr.Enabled() {
+		if r.tr.Enabled() {
 			failed := 0
 			for _, net := range ordered {
 				if routes[net.ID].Err != nil {
 					failed++
 				}
 			}
-			env.tr.Emit(obs.Event{Type: obs.EvRipupPass, Step: pass, Victims: attempts, Paths: failed})
+			r.tr.Emit(obs.Event{Type: obs.EvRipupPass, Step: pass, Victims: attempts, Paths: failed})
 		}
 		if !progress {
 			return
@@ -277,7 +215,7 @@ func (r *Router) recover(env *routeEnv, ordered []*netlist.Net,
 
 // retryWithRipup attempts to complete one failed net by freeing its
 // congestion window. It reports whether the net now routes.
-func (r *Router) retryWithRipup(env *routeEnv, net *netlist.Net, ordered []*netlist.Net,
+func (r *Router) retryWithRipup(net *netlist.Net, ordered []*netlist.Net,
 	termPts map[netlist.NetID][]tig.Point, ranks map[netlist.NetID]int,
 	routes map[netlist.NetID]*NetRoute, shapes map[netlist.NetID]*shape,
 	res *Result) bool {
@@ -292,8 +230,8 @@ func (r *Router) retryWithRipup(env *routeEnv, net *netlist.Net, ordered []*netl
 		cols = geom.Iv(geom.Min(cols.Lo, p.Col), geom.Max(cols.Hi, p.Col))
 		rows = geom.Iv(geom.Min(rows.Lo, p.Row), geom.Max(rows.Hi, p.Row))
 	}
-	cols = geom.Iv(cols.Lo-margin, cols.Hi+margin).Intersect(geom.Iv(0, env.g.NX()-1))
-	rows = geom.Iv(rows.Lo-margin, rows.Hi+margin).Intersect(geom.Iv(0, env.g.NY()-1))
+	cols = geom.Iv(cols.Lo-margin, cols.Hi+margin).Intersect(geom.Iv(0, r.g.NX()-1))
+	rows = geom.Iv(rows.Lo-margin, rows.Hi+margin).Intersect(geom.Iv(0, r.g.NY()-1))
 
 	// Victims: committed nets with metal inside the window. Nets merely
 	// passing through (no terminal inside) are preferred — they can
@@ -337,15 +275,15 @@ func (r *Router) retryWithRipup(env *routeEnv, net *netlist.Net, ordered []*netl
 		victims = victims[:maxVictims]
 	}
 
-	r.liftNet(env, net.ID, termPts, shapes)
+	r.liftNet(net.ID, termPts, shapes)
 	for _, v := range victims {
-		r.liftNet(env, v.net.ID, termPts, shapes)
+		r.liftNet(v.net.ID, termPts, shapes)
 	}
 	// The stuck net routes first into the freed window, then the
 	// victims re-route in their original serial order. Every retry
 	// keeps the net's original 1-based rank so trace events stay
 	// attributable to the net's position in the routing order.
-	nr, sh := r.routeNet(env, net, terms, res, ranks[net.ID])
+	nr, sh := r.routeNet(net, terms, res, ranks[net.ID])
 	routes[net.ID], shapes[net.ID] = nr, sh
 	lifted := make(map[netlist.NetID]bool, len(victims))
 	for _, v := range victims {
@@ -355,26 +293,26 @@ func (r *Router) retryWithRipup(env *routeEnv, net *netlist.Net, ordered []*netl
 		if !lifted[cand.ID] {
 			continue
 		}
-		vnr, vsh := r.routeNet(env, cand, termPts[cand.ID], res, ranks[cand.ID])
+		vnr, vsh := r.routeNet(cand, termPts[cand.ID], res, ranks[cand.ID])
 		routes[cand.ID], shapes[cand.ID] = vnr, vsh
 	}
 	ok := routes[net.ID].Err == nil
-	if env.tr.Enabled() {
-		env.tr.Emit(obs.Event{Type: obs.EvRipup, Net: net.Name, Victims: len(victims), Failed: !ok})
+	if r.tr.Enabled() {
+		r.tr.Emit(obs.Event{Type: obs.EvRipup, Net: net.Name, Victims: len(victims), Failed: !ok})
 	}
 	return ok
 }
 
 // liftNet removes a net's committed metal from the grid (its terminal
 // stacks stay blocked: terminal positions are fixed geometry).
-func (r *Router) liftNet(env *routeEnv, id netlist.NetID, termPts map[netlist.NetID][]tig.Point, shapes map[netlist.NetID]*shape) {
+func (r *Router) liftNet(id netlist.NetID, termPts map[netlist.NetID][]tig.Point, shapes map[netlist.NetID]*shape) {
 	if sh := shapes[id]; sh != nil {
-		sh.lift(env.g)
+		sh.lift(r.g)
 	}
 	// Lifting spans can erase the blockage of coincident terminal
 	// points (interval sets hold no reference counts); restore it.
 	for _, p := range termPts[id] {
-		env.g.BlockPoint(p.Col, p.Row)
+		r.g.BlockPoint(p.Col, p.Row)
 	}
 }
 
@@ -419,46 +357,42 @@ func (r *Router) snapTerminals(nets []*netlist.Net) (map[netlist.NetID][]tig.Poi
 // routeNet realises one net: its terminals are lifted out of the
 // blockage, its two-terminal connections are routed one by one (Prim
 // order for multi-terminal nets), and the accumulated shape is
-// committed back to env's grid. rank is the net's 1-based serial
+// committed back to the grid. rank is the net's 1-based serial
 // routing position; rip-up retries pass the original rank again so
 // per-net attribution survives recovery.
-func (r *Router) routeNet(env *routeEnv, net *netlist.Net, terms []tig.Point, res *Result, rank int) (*NetRoute, *shape) {
+func (r *Router) routeNet(net *netlist.Net, terms []tig.Point, res *Result, rank int) (*NetRoute, *shape) {
 	nr := &NetRoute{Net: net, Terminals: terms}
-	env.budget.BeginNet()
-	if env.tr.Enabled() {
-		env.tr.Emit(obs.Event{Type: obs.EvNetStart, Net: net.Name, Rank: rank, Terminals: len(terms)})
+	r.cfg.Budget.BeginNet()
+	if r.tr.Enabled() {
+		r.tr.Emit(obs.Event{Type: obs.EvNetStart, Net: net.Name, Rank: rank, Terminals: len(terms)})
 	}
 	// The net's own terminal stacks must be transparent to its own
 	// search.
 	for _, p := range terms {
-		env.g.ClearTerminal(p.Col, p.Row)
+		r.g.ClearTerminal(p.Col, p.Row)
 	}
 	sh := newShape()
-	env.eval.own = sh
+	r.eval.own = sh
 	defer func() {
-		env.eval.own = nil
-		sh.commit(env.g)
+		r.eval.own = nil
+		sh.commit(r.g)
 		// Terminal stacks block both layers for everyone else even
 		// when the terminal lies mid-segment of its own net.
 		for _, p := range terms {
-			env.g.BlockPoint(p.Col, p.Row)
+			r.g.BlockPoint(p.Col, p.Row)
 		}
 		nr.Segments = sh.segments()
 		nr.Vias = sh.viaPoints()
-		nr.WireLength = sh.wireLength(env.g)
-		if env.tr.Enabled() {
-			env.tr.Emit(obs.Event{
+		nr.WireLength = sh.wireLength(r.g)
+		if r.tr.Enabled() {
+			r.tr.Emit(obs.Event{
 				Type: obs.EvNetDone, Net: net.Name, Wire: nr.WireLength,
 				Vias: len(nr.Vias), Corners: nr.Corners, Expanded: nr.Expanded,
 				Escalated: nr.Escalations, Failed: nr.Err != nil,
 			})
 		}
-		// Commit-boundary sampling fires only for live-grid commits: a
-		// non-nil read window marks a speculative attempt on a snapshot
-		// (see parallel.go); its metal reaches the live grid — and the
-		// observer — via commitSpeculation instead.
-		if r.cfg.Congest != nil && env.read == nil {
-			r.cfg.Congest.NetCommitted(rank, net.Name, nr.Err != nil, env.g)
+		if r.cfg.Congest != nil {
+			r.cfg.Congest.NetCommitted(rank, net.Name, nr.Err != nil, r.g)
 		}
 	}()
 
@@ -472,7 +406,7 @@ func (r *Router) routeNet(env *routeEnv, net *netlist.Net, terms []tig.Point, re
 	termTest := func(p tig.Point) bool { return isTerm[p] }
 
 	if r.cfg.PlainMST {
-		r.routeMST(env, nr, terms, sh, termTest, res)
+		r.routeMST(nr, terms, sh, termTest, res)
 		return nr, sh
 	}
 
@@ -503,9 +437,9 @@ func (r *Router) routeNet(env *routeEnv, net *netlist.Net, terms []tig.Point, re
 		if sh.containsPoint(p) {
 			continue // tree already passes through this terminal
 		}
-		path, err := r.connect(env, nr, p, bestTarget, res)
+		path, err := r.connect(nr, p, bestTarget, res)
 		if err != nil {
-			nr.Err = r.failNet(env, net.Name, err, nr)
+			nr.Err = r.failNet(net.Name, err, nr)
 			return nr, sh
 		}
 		sh.addPath(path, termTest)
@@ -518,12 +452,12 @@ func (r *Router) routeNet(env *routeEnv, net *netlist.Net, terms []tig.Point, re
 // cause is a budget trip or cancellation, emits one EvBudget event so
 // traces show where the work ran out. Failed marks sticky trips that
 // end the whole run (the run-level poll in Route is what acts on them).
-func (r *Router) failNet(env *routeEnv, name string, err error, nr *NetRoute) error {
-	if env.tr.Enabled() &&
+func (r *Router) failNet(name string, err error, nr *NetRoute) error {
+	if r.tr.Enabled() &&
 		(errors.Is(err, robust.ErrBudgetExhausted) || errors.Is(err, robust.ErrCanceled)) {
-		env.tr.Emit(obs.Event{
+		r.tr.Emit(obs.Event{
 			Type: obs.EvBudget, Net: name, Phase: "level-b",
-			Expanded: nr.Expanded, Failed: env.budget.Err() != nil,
+			Expanded: nr.Expanded, Failed: r.cfg.Budget.Err() != nil,
 		})
 	}
 	return robust.Wrap("level-b", name, err)
@@ -531,7 +465,7 @@ func (r *Router) failNet(env *routeEnv, name string, err error, nr *NetRoute) er
 
 // routeMST is the ablation decomposition: a plain minimum spanning
 // tree over the terminal points only, each edge routed independently.
-func (r *Router) routeMST(env *routeEnv, nr *NetRoute, terms []tig.Point, sh *shape, termTest func(tig.Point) bool, res *Result) {
+func (r *Router) routeMST(nr *NetRoute, terms []tig.Point, sh *shape, termTest func(tig.Point) bool, res *Result) {
 	inTree := make([]bool, len(terms))
 	inTree[0] = true
 	for n := 1; n < len(terms); n++ {
@@ -550,9 +484,9 @@ func (r *Router) routeMST(env *routeEnv, nr *NetRoute, terms []tig.Point, sh *sh
 				}
 			}
 		}
-		path, err := r.connect(env, nr, terms[bestJ], terms[bestI], res)
+		path, err := r.connect(nr, terms[bestJ], terms[bestI], res)
 		if err != nil {
-			nr.Err = r.failNet(env, nr.Net.Name, err, nr)
+			nr.Err = r.failNet(nr.Net.Name, err, nr)
 			return
 		}
 		sh.addPath(path, termTest)
@@ -570,7 +504,7 @@ func (r *Router) routeMST(env *routeEnv, nr *NetRoute, terms []tig.Point, sh *sh
 // only when "the solution space for level B routing guarantees 100%
 // routing completion"; the relaxed retry recovers the connections the
 // fast strict search misses in dense pin pockets.
-func (r *Router) connect(env *routeEnv, nr *NetRoute, from, to tig.Point, res *Result) (tig.Path, error) {
+func (r *Router) connect(nr *NetRoute, from, to tig.Point, res *Result) (tig.Path, error) {
 	if from == to {
 		return tig.Path{Points: []tig.Point{from}}, nil
 	}
@@ -578,12 +512,11 @@ func (r *Router) connect(env *routeEnv, nr *NetRoute, from, to tig.Point, res *R
 	colHi := geom.Max(from.Col, to.Col)
 	rowLo := geom.Min(from.Row, to.Row)
 	rowHi := geom.Max(from.Row, to.Row)
-	fullCols := geom.Iv(0, env.g.NX()-1)
-	fullRows := geom.Iv(0, env.g.NY()-1)
+	fullCols := geom.Iv(0, r.g.NX()-1)
+	fullRows := geom.Iv(0, r.g.NY()-1)
 
 	attempt := func(cfg tig.Config) (tig.Path, bool, error) {
-		env.noteRead(cfg.ColBounds, cfg.RowBounds)
-		sr, ok := env.search.Search(env.g, from, to, cfg)
+		sr, ok := r.search.Search(r.g, from, to, cfg)
 		if sr != nil {
 			res.Expanded += sr.Expanded
 			nr.Expanded += sr.Expanded
@@ -597,9 +530,9 @@ func (r *Router) connect(env *routeEnv, nr *NetRoute, from, to tig.Point, res *R
 			}
 			return tig.Path{}, false, nil
 		}
-		best, _, pruned := env.eval.selectBest(sr.Paths)
-		if env.tr.Enabled() {
-			env.tr.Emit(obs.Event{
+		best, _, pruned := r.eval.selectBest(sr.Paths)
+		if r.tr.Enabled() {
+			r.tr.Emit(obs.Event{
 				Type: obs.EvSelect, Net: nr.Net.Name, Paths: len(sr.Paths),
 				Pruned: pruned, Corners: best.Corners(),
 			})
@@ -610,16 +543,16 @@ func (r *Router) connect(env *routeEnv, nr *NetRoute, from, to tig.Point, res *R
 	for step, m := range r.cfg.expansions() {
 		if step > 0 {
 			nr.Escalations++
-			if env.tr.Enabled() {
-				env.tr.Emit(obs.Event{Type: obs.EvEscalate, Net: nr.Net.Name, Step: step + 1, Margin: m})
+			if r.tr.Enabled() {
+				r.tr.Emit(obs.Event{Type: obs.EvEscalate, Net: nr.Net.Name, Step: step + 1, Margin: m})
 			}
 		}
 		cfg := tig.Config{
 			MaxCorners:   r.cfg.MaxCorners,
 			RelaxedVisit: r.cfg.RelaxedVisit,
 			MaxPaths:     r.cfg.MaxPaths,
-			Tracer:       env.tr,
-			Budget:       env.budget,
+			Tracer:       r.tr,
+			Budget:       r.cfg.Budget,
 		}
 		if m >= 0 {
 			cfg.ColBounds = geom.Iv(colLo-m, colHi+m).Intersect(fullCols)
@@ -638,8 +571,8 @@ func (r *Router) connect(env *routeEnv, nr *NetRoute, from, to tig.Point, res *R
 	}
 	if !r.cfg.RelaxedVisit {
 		nr.Escalations++
-		if env.tr.Enabled() {
-			env.tr.Emit(obs.Event{
+		if r.tr.Enabled() {
+			r.tr.Emit(obs.Event{
 				Type: obs.EvEscalate, Net: nr.Net.Name,
 				Step: len(r.cfg.expansions()) + 1, Margin: -1, Relaxed: true,
 			})
@@ -649,8 +582,8 @@ func (r *Router) connect(env *routeEnv, nr *NetRoute, from, to tig.Point, res *R
 			RelaxedVisit: true,
 			MaxCorners:   geom.Max(2*tig.DefaultMaxCorners, r.cfg.MaxCorners),
 			MaxPaths:     r.cfg.MaxPaths,
-			Tracer:       env.tr,
-			Budget:       env.budget,
+			Tracer:       r.tr,
+			Budget:       r.cfg.Budget,
 		}
 		p, ok, err := attempt(relaxed)
 		if err != nil {

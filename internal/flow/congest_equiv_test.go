@@ -9,17 +9,17 @@ import (
 	"overcell/internal/obs/congest"
 )
 
-// congestProposedWorkers routes the macrocell instance with the given
-// worker count and a congestion series attached, returning the full
-// report (frames included) as JSON.
-func congestProposedWorkers(t *testing.T, workers int) []byte {
+// congestProposed routes the macrocell instance with a congestion
+// series attached, returning the full report (frames included) as
+// JSON.
+func congestProposed(t *testing.T) []byte {
 	t.Helper()
 	inst, err := gen.Ami33Like()
 	if err != nil {
 		t.Fatal(err)
 	}
 	series := congest.New(0, 0)
-	if _, err := Proposed(inst, Options{Workers: workers, Congest: series}); err != nil {
+	if _, err := Proposed(inst, Options{Congest: series}); err != nil {
 		t.Fatal(err)
 	}
 	if series.Len() == 0 {
@@ -32,18 +32,14 @@ func congestProposedWorkers(t *testing.T, workers int) []byte {
 	return out
 }
 
-// TestCongestionSeriesWorkerEquivalence enforces the congestion
+// TestCongestionSeriesDeterministic enforces the congestion
 // telemetry's determinism contract: the commit-boundary series —
 // samples, per-tile frames, and their JSON encoding — must be
-// byte-identical at every worker count.
-func TestCongestionSeriesWorkerEquivalence(t *testing.T) {
-	serial := congestProposedWorkers(t, 1)
-	for _, w := range []int{2, 4} {
-		par := congestProposedWorkers(t, w)
-		if !bytes.Equal(serial, par) {
-			t.Fatalf("workers=%d: congestion report diverges from serial:\n  serial len %d\n  parallel len %d",
-				w, len(serial), len(par))
-		}
+// byte-identical across identical runs.
+func TestCongestionSeriesDeterministic(t *testing.T) {
+	a, b := congestProposed(t), congestProposed(t)
+	if !bytes.Equal(a, b) {
+		t.Fatalf("congestion report differs between identical runs: len %d vs %d", len(a), len(b))
 	}
 }
 
@@ -56,7 +52,7 @@ func TestCongestionSeriesShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	series := congest.New(0, 0)
-	res, err := Proposed(inst, Options{Workers: 1, Congest: series})
+	res, err := Proposed(inst, Options{Congest: series})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,27 +88,20 @@ type Options struct {
 	// trips (total cap, deadline, cancellation) still return an error —
 	// alongside the verified partial result.
 	AllowPartial bool
-	// Workers sets the level B router's speculative worker count
-	// (core.Config.Workers): 0 keeps the core default (GOMAXPROCS), 1
-	// forces serial routing. Routing results are identical for every
-	// value. Ignored when Core carries its own non-zero Workers.
-	Workers int
 	// Perf attaches a performance-attribution collector to the run: it
-	// joins the tracer chain (phase boundaries trigger runtime samples),
-	// becomes the level B router's PerfObserver, and supplies the shared
-	// timestamp clock. Nil disables attribution at zero cost.
+	// joins the tracer chain, so phase boundaries trigger runtime
+	// samples. Nil disables attribution at zero cost.
 	Perf *perf.Collector
 	// Congest attaches a commit-boundary observer to the level B router
-	// (core.Config.Congest): one callback per net commit on the live
-	// grid, in serial order at every worker count. The obs/congest
+	// (core.Config.Congest): one callback per net commit, in routing
+	// order. The obs/congest
 	// Series records the congestion time-series from it. Nil disables
 	// the hook. Ignored when Core already carries its own observer.
 	Congest core.CommitObserver
 	// RunID is the "run" pprof label value when ProfileLabels is on (an
 	// ocserved run id, an instance name).
 	RunID string
-	// ProfileLabels runs each phase under pprof labels (run, phase) and
-	// the speculative workers under additional (worker, net) labels, so
+	// ProfileLabels runs each phase under pprof labels (run, phase), so
 	// CPU/heap profiles captured during the run are attributable. Off by
 	// default: label upkeep costs a little on every goroutine switch.
 	ProfileLabels bool
@@ -147,53 +140,38 @@ func (o Options) coreConfig(b *robust.Budget) core.Config {
 	if cfg.Budget == nil {
 		cfg.Budget = b
 	}
-	if cfg.Workers == 0 {
-		cfg.Workers = o.Workers
-	}
 	if cfg.Congest == nil {
 		cfg.Congest = o.Congest
-	}
-	if cfg.Perf == nil && o.Perf != nil {
-		cfg.Perf = o.Perf
-		if cfg.Clock == nil {
-			// Dwell times are "committer reached it" minus "speculation
-			// finished"; both readings must come off one clock.
-			cfg.Clock = o.Perf.Clock()
-		}
 	}
 	return cfg
 }
 
-// prepare wires an attached perf collector into the run: the resolved
-// worker count lands in the report header, the run window opens
-// (Start is idempotent, so flows sharing a collector just widen it),
-// and the collector joins the tracer chain so phase boundaries reach
-// its sampler. Every flow entry point calls it once on its own copy.
+// prepare wires an attached perf collector into the run: the run
+// window opens (Start is idempotent, so flows sharing a collector just
+// widen it), and the collector joins the tracer chain so phase
+// boundaries reach its sampler. Every flow entry point calls it once
+// on its own copy.
 func (o Options) prepare() Options {
 	if o.Perf == nil {
 		return o
 	}
-	cfg := o.coreConfig(nil)
-	o.Perf.SetWorkers(cfg.EffectiveWorkers())
 	o.Perf.Start()
 	o.Tracer = obs.Combine(o.Tracer, o.Perf)
 	return o
 }
 
 // labeled runs fn under pprof labels (run=o.RunID, phase=phase) when
-// ProfileLabels is on, handing fn the labeled context so spawned
-// goroutines can stack further labels on it; with labels off, fn runs
-// with the bare run context.
-func (o Options) labeled(phase string, fn func(context.Context)) {
+// ProfileLabels is on, and plainly otherwise.
+func (o Options) labeled(phase string, fn func()) {
+	if !o.ProfileLabels {
+		fn()
+		return
+	}
 	ctx := o.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if !o.ProfileLabels {
-		fn(ctx)
-		return
-	}
-	pprof.Do(ctx, pprof.Labels("run", o.RunID, "phase", phase), fn)
+	pprof.Do(ctx, pprof.Labels("run", o.RunID, "phase", phase), func(context.Context) { fn() })
 }
 
 // phase brackets one flow phase with obs events and returns the
@@ -251,7 +229,7 @@ type levelAResult struct {
 
 func routeLevelA(inst *gen.Instance, subset func(gen.NetSpec) bool, opt Options, b *robust.Budget) (la *levelAResult, err error) {
 	defer phase(opt.Tracer, opt.clock(), "level-a")()
-	opt.labeled("level-a", func(context.Context) {
+	opt.labeled("level-a", func() {
 		la, err = levelABody(inst, subset, opt, b)
 	})
 	return la, err
@@ -508,12 +486,7 @@ func routeLevelB(inst *gen.Instance, subset func(gen.NetSpec) bool, opt Options,
 	cfg := opt.coreConfig(b)
 	var cres *core.Result
 	var sticky error
-	opt.labeled("level-b", func(lctx context.Context) {
-		if opt.ProfileLabels {
-			// Hand the labeled context to the router so speculative
-			// workers inherit run/phase and stack worker/net on top.
-			cfg.LabelCtx = lctx
-		}
+	opt.labeled("level-b", func() {
 		cres, sticky = core.New(g, cfg).Route(nl.Nets())
 	})
 	endB()
@@ -540,7 +513,7 @@ func routeLevelB(inst *gen.Instance, subset func(gen.NetSpec) bool, opt Options,
 		})
 	}
 	endV := phase(opt.Tracer, opt.clock(), "verify")
-	opt.labeled("verify", func(context.Context) {
+	opt.labeled("verify", func() {
 		err = verify.LevelB(cres, regions)
 	})
 	endV()

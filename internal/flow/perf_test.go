@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"reflect"
 	"testing"
 	"time"
 
@@ -16,7 +15,7 @@ import (
 // with the whole timing surface pinned: the flow phases on a fixed-step
 // clock, the perf collector on a constant clock, sampler and MemStats
 // reader. Returns the rendered report bytes.
-func perfReport(t *testing.T, workers int) []byte {
+func perfReport(t *testing.T) []byte {
 	t.Helper()
 	at := time.Unix(1700000000, 0)
 	pc := perf.New(perf.Options{
@@ -26,13 +25,12 @@ func perfReport(t *testing.T, workers int) []byte {
 		Mem:     func() perf.MemSnap { return perf.MemSnap{} },
 	})
 	opt := Options{
-		Workers: workers,
-		Perf:    pc,
-		RunID:   "ami33",
-		Clock:   (&stepClock{now: time.Unix(0, 0), step: 3 * time.Millisecond}).read,
+		Perf:  pc,
+		RunID: "ami33",
+		Clock: (&stepClock{now: time.Unix(0, 0), step: 3 * time.Millisecond}).read,
 	}
 	if _, err := Proposed(build(t, gen.Ami33Like), opt); err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
+		t.Fatal(err)
 	}
 	pc.Finish()
 	var b bytes.Buffer
@@ -42,58 +40,28 @@ func perfReport(t *testing.T, workers int) []byte {
 	return b.Bytes()
 }
 
-// TestPerfReportDeterministicPerWorkerCount is the report-level
-// determinism contract: with every timing input pinned, two identical
-// runs render byte-identical reports at each worker count.
-func TestPerfReportDeterministicPerWorkerCount(t *testing.T) {
-	for _, w := range []int{1, 2, 4} {
-		a, b := perfReport(t, w), perfReport(t, w)
-		if !bytes.Equal(a, b) {
-			t.Errorf("workers=%d: report bytes differ between identical runs:\n%s\n---\n%s", w, a, b)
-		}
-	}
-}
-
-// TestPerfReportPhaseStratumWorkerIndependent pins the cross-worker-
-// count half of the contract: the phase stratum (names, counts, wall
-// times from the flow clock, sampler deltas) is identical at every
-// worker count, while the parallel stratum legitimately differs (a
-// serial run has no pipeline to account).
-func TestPerfReportPhaseStratumWorkerIndependent(t *testing.T) {
-	decode := func(raw []byte) *perf.Report {
-		var r perf.Report
-		if err := json.Unmarshal(raw, &r); err != nil {
-			t.Fatalf("report does not decode: %v", err)
-		}
-		return &r
-	}
-	base := decode(perfReport(t, 1))
-	if len(base.Phases) == 0 {
-		t.Fatal("serial report carries no phases")
-	}
-	if !base.Complete {
-		t.Fatal("report not marked complete after Finish")
-	}
-	for _, w := range []int{2, 4} {
-		r := decode(perfReport(t, w))
-		if !reflect.DeepEqual(base.Phases, r.Phases) {
-			t.Errorf("workers=%d: phase stratum diverges from serial:\n%+v\nvs\n%+v", w, base.Phases, r.Phases)
-		}
-		if r.Workers != w {
-			t.Errorf("report workers = %d, want %d", r.Workers, w)
-		}
+// TestPerfReportDeterministic is the report-level determinism
+// contract: with every timing input pinned, two identical runs render
+// byte-identical reports.
+func TestPerfReportDeterministic(t *testing.T) {
+	a, b := perfReport(t), perfReport(t)
+	if !bytes.Equal(a, b) {
+		t.Errorf("report bytes differ between identical runs:\n%s\n---\n%s", a, b)
 	}
 }
 
 // TestPerfCollectorWiredThroughFlow checks prepare() actually attaches
 // the collector: phases arrive via the combined tracer even when the
-// caller supplied no tracer of their own, and the parallel stratum
-// appears whenever the level B run speculated.
+// caller supplied no tracer of their own, and the report is marked
+// complete after Finish.
 func TestPerfCollectorWiredThroughFlow(t *testing.T) {
-	raw := perfReport(t, 4)
+	raw := perfReport(t)
 	var r perf.Report
 	if err := json.Unmarshal(raw, &r); err != nil {
 		t.Fatal(err)
+	}
+	if !r.Complete {
+		t.Fatal("report not marked complete after Finish")
 	}
 	want := map[string]bool{"level-a": false, "level-b": false, "verify": false}
 	for _, p := range r.Phases {
@@ -108,9 +76,6 @@ func TestPerfCollectorWiredThroughFlow(t *testing.T) {
 		if !seen {
 			t.Errorf("report missing phase %q (got %s)", name, phaseNames(r.Phases))
 		}
-	}
-	if r.Parallel == nil || r.Parallel.Speculated == 0 {
-		t.Fatalf("workers=4 flow reported no speculation pipeline: %+v", r.Parallel)
 	}
 }
 

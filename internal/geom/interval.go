@@ -82,21 +82,6 @@ func (s *IntervalSet) String() string {
 	return "{" + strings.Join(parts, " ") + "}"
 }
 
-// Clone returns a deep copy of the set.
-func (s *IntervalSet) Clone() *IntervalSet {
-	c := &IntervalSet{ivs: make([]Interval, len(s.ivs))}
-	copy(c.ivs, s.ivs)
-	return c
-}
-
-// CopyFrom replaces the receiver's contents with a deep copy of src,
-// reusing the receiver's backing storage when it has capacity. This is
-// the copy primitive behind grid's copy-on-write tracks: a track copied
-// once keeps its buffer for every later snapshot epoch.
-func (s *IntervalSet) CopyFrom(src *IntervalSet) {
-	s.ivs = append(s.ivs[:0], src.ivs...)
-}
-
 // search returns the index of the first interval with Hi >= x.
 func (s *IntervalSet) search(x int) int {
 	return sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].Hi >= x })

@@ -226,16 +226,6 @@ func TestIntervalSetAgainstModel(t *testing.T) {
 	}
 }
 
-func TestIntervalSetCloneIndependent(t *testing.T) {
-	var s IntervalSet
-	s.Add(Iv(1, 5))
-	c := s.Clone()
-	c.Add(Iv(10, 12))
-	if s.Len() != 1 || c.Len() != 2 {
-		t.Errorf("clone not independent: s=%v c=%v", s.String(), c.String())
-	}
-}
-
 func TestOverlapCountProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -72,13 +72,9 @@ const (
 	// cap, deadline, cancellation) from transient per-net exhaustion
 	// (false: the run continues with the next net degraded).
 	EvBudget EventType = "budget"
-	// EvParallel summarises one speculate/validate/commit batch of the
-	// parallel level-B first pass: Speculated is the number of
-	// speculative routing attempts launched, Conflicts how many of them
-	// the committer discarded and re-ran serially because an earlier
-	// commit in the batch touched their congestion window. The event
-	// carries no routing state — parallelism never changes routing
-	// results — so run-equivalence comparisons ignore it.
+	// EvParallel is never emitted: level B routes serially.
+	//
+	// Deprecated: kept so existing event consumers compile.
 	EvParallel EventType = "parallel"
 )
 
@@ -102,7 +98,9 @@ type Event struct {
 	Vias      int       `json:"vias,omitempty"`
 	Victims   int       `json:"victims,omitempty"`
 	Escalated int       `json:"escalated,omitempty"`
-	// Speculated and Conflicts are EvParallel's batch counters.
+	// Speculated and Conflicts are always zero.
+	//
+	// Deprecated: they belonged to EvParallel, which is never emitted.
 	Speculated int   `json:"speculated,omitempty"`
 	Conflicts  int   `json:"conflicts,omitempty"`
 	Relaxed    bool  `json:"relaxed,omitempty"`
@@ -114,8 +112,7 @@ type Event struct {
 // from a single goroutine in emission order; the router is serial and
 // does not synchronise emits. Tracers that are shared across
 // concurrently routing goroutines (one server handling many runs)
-// must either be goroutine-safe themselves or be wrapped in Synced,
-// which serialises Emit calls behind a mutex.
+// must be goroutine-safe themselves.
 type Tracer interface {
 	// Enabled reports whether Emit does anything. Hot paths check it
 	// before assembling an event.

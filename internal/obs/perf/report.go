@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"overcell/internal/obs"
@@ -14,24 +13,21 @@ import (
 const ReportSchema = 1
 
 // Report is one run's performance attribution, rendered from a
-// Collector. Field order and slice orderings are fixed (phases in
-// first-seen order, workers by index, conflict pairs by count then
-// name), so identical inputs marshal to identical bytes.
+// Collector. Field order and the phase order (first seen) are fixed,
+// so identical inputs marshal to identical bytes.
 type Report struct {
-	Schema  int    `json:"schema"`
-	Run     string `json:"run,omitempty"`
-	Workers int    `json:"workers,omitempty"`
+	Schema int    `json:"schema"`
+	Run    string `json:"run,omitempty"`
 	// Complete is false for a mid-run snapshot (Finish not yet called).
 	Complete bool  `json:"complete"`
 	WallNS   int64 `json:"wall_ns"`
 	// Runtime is the whole-run runtime/metrics delta; Mem the
 	// whole-run MemStats delta (HeapSysBytes is the end-of-run level,
 	// not a delta).
-	Runtime        RuntimeDelta    `json:"runtime"`
-	Mem            MemDelta        `json:"mem"`
-	GoroutinesPeak int64           `json:"goroutines_peak"`
-	Phases         []PhaseReport   `json:"phases,omitempty"`
-	Parallel       *ParallelReport `json:"parallel,omitempty"`
+	Runtime        RuntimeDelta  `json:"runtime"`
+	Mem            MemDelta      `json:"mem"`
+	GoroutinesPeak int64         `json:"goroutines_peak"`
+	Phases         []PhaseReport `json:"phases,omitempty"`
 }
 
 // RuntimeDelta is a Sample delta in report form.
@@ -53,8 +49,8 @@ type MemDelta struct {
 }
 
 // PhaseReport is one flow phase's attribution: wall time from the
-// phase events themselves (flow-clock, worker-count independent),
-// allocation deltas from the collector's sampler.
+// phase events themselves (flow clock), allocation deltas from the
+// collector's sampler.
 type PhaseReport struct {
 	Name      string `json:"name"`
 	Count     int    `json:"count"`
@@ -63,69 +59,6 @@ type PhaseReport struct {
 	Bytes     uint64 `json:"bytes"`
 	GCCycles  uint64 `json:"gc_cycles"`
 	GCPauseNS int64  `json:"gc_pause_ns"`
-}
-
-// ParallelReport is the speculate/validate/commit pipeline's
-// attribution. SpecAllocs/SpecBytes cover the speculation windows
-// (snapshot clones, forked budgets, buffered tracers, the routing work
-// itself); CommitAllocs/CommitBytes cover the serial validate, commit
-// replay and conflict re-routes.
-type ParallelReport struct {
-	Batches       int   `json:"batches"`
-	Speculated    int64 `json:"speculated"`
-	Committed     int64 `json:"committed"`
-	WindowConf    int64 `json:"window_conflicts"`
-	OtherDiscards int64 `json:"other_discards"`
-	Reroutes      int64 `json:"reroutes"`
-
-	SpecAllocs   uint64 `json:"spec_allocs"`
-	SpecBytes    uint64 `json:"spec_bytes"`
-	CommitAllocs uint64 `json:"commit_allocs"`
-	CommitBytes  uint64 `json:"commit_bytes"`
-
-	// SpecNS sums per-worker speculation routing time; DwellNS is the
-	// total commit-queue dwell (speculation finished to committer
-	// reached it); Validate/Commit/RerouteNS split the committer's own
-	// time.
-	SpecNS     int64 `json:"spec_ns"`
-	DwellNS    int64 `json:"commit_queue_dwell_ns"`
-	ValidateNS int64 `json:"validate_ns"`
-	CommitNS   int64 `json:"commit_ns"`
-	RerouteNS  int64 `json:"reroute_ns"`
-
-	// CloneCells sums what the workers' snapshots really did: per-track
-	// interval-set copies under the copy-on-write protocol (before COW
-	// snapshots it counted full clone sizes in grid cells; the JSON key
-	// is kept stable for downstream report readers).
-	CloneCells     int64 `json:"clone_cells"`
-	BufferedEvents int64 `json:"buffered_events"`
-	BudgetUsed     int64 `json:"budget_used"`
-	BudgetCharges  int64 `json:"budget_charges"`
-
-	Workers       []WorkerReport `json:"worker_detail,omitempty"`
-	ConflictPairs []ConflictPair `json:"conflict_pairs,omitempty"`
-}
-
-// WorkerReport is one speculative worker slot's totals, including the
-// budget charge counters its forks accumulated.
-type WorkerReport struct {
-	Worker         int   `json:"worker"`
-	Specs          int64 `json:"specs"`
-	SpecNS         int64 `json:"spec_ns"`
-	CloneCells     int64 `json:"clone_cells"`
-	BufferedEvents int64 `json:"buffered_events"`
-	BudgetUsed     int64 `json:"budget_used"`
-	BudgetCharges  int64 `json:"budget_charges"`
-}
-
-// ConflictPair records one ordered net pair whose dilated read windows
-// collided: Earlier committed first, invalidating Later's speculation,
-// which then re-routed serially for RerouteNS.
-type ConflictPair struct {
-	Earlier   string `json:"earlier"`
-	Later     string `json:"later"`
-	Count     int64  `json:"count"`
-	RerouteNS int64  `json:"reroute_ns"`
 }
 
 // Report snapshots the collector into a Report. Safe to call at any
@@ -143,7 +76,6 @@ func (c *Collector) Report() *Report {
 	r := &Report{
 		Schema:         ReportSchema,
 		Run:            c.runID,
-		Workers:        c.workers,
 		Complete:       c.finished,
 		GoroutinesPeak: c.goroPeak,
 	}
@@ -173,62 +105,6 @@ func (c *Collector) Report() *Report {
 			GCCycles: p.d.GCCycles, GCPauseNS: p.d.GCPauseNS,
 		})
 	}
-	if c.batches > 0 {
-		pp := &ParallelReport{
-			Batches:       c.batches,
-			Speculated:    c.speculated,
-			Committed:     c.committedN,
-			WindowConf:    c.windowConf,
-			OtherDiscards: c.otherDiscards,
-			Reroutes:      c.reroutes,
-			SpecAllocs:    c.specDelta.Allocs,
-			SpecBytes:     c.specDelta.Bytes,
-			CommitAllocs:  c.commitDelta.Allocs,
-			CommitBytes:   c.commitDelta.Bytes,
-			DwellNS:       c.dwellNS,
-			ValidateNS:    c.validateNS,
-			CommitNS:      c.commitNS,
-			RerouteNS:     c.rerouteNS,
-		}
-		for i := range c.workerAggs {
-			w := &c.workerAggs[i]
-			if w.specs == 0 {
-				continue
-			}
-			pp.SpecNS += w.specNS
-			pp.CloneCells += w.cloneCells
-			pp.BufferedEvents += w.events
-			pp.BudgetUsed += w.budgetUsed
-			pp.BudgetCharges += w.budgetCharges
-			pp.Workers = append(pp.Workers, WorkerReport{
-				Worker: i, Specs: w.specs, SpecNS: w.specNS,
-				CloneCells: w.cloneCells, BufferedEvents: w.events,
-				BudgetUsed: w.budgetUsed, BudgetCharges: w.budgetCharges,
-			})
-		}
-		keys := make([]pairKey, 0, len(c.pairs))
-		for k := range c.pairs {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			a, b := c.pairs[keys[i]], c.pairs[keys[j]]
-			if a.count != b.count {
-				return a.count > b.count
-			}
-			if keys[i].earlier != keys[j].earlier {
-				return keys[i].earlier < keys[j].earlier
-			}
-			return keys[i].later < keys[j].later
-		})
-		for _, k := range keys {
-			pa := c.pairs[k]
-			pp.ConflictPairs = append(pp.ConflictPairs, ConflictPair{
-				Earlier: k.earlier, Later: k.later,
-				Count: pa.count, RerouteNS: pa.rerouteNS,
-			})
-		}
-		r.Parallel = pp
-	}
 	return r
 }
 
@@ -242,12 +118,9 @@ func (r *Report) WriteJSON(w io.Writer) error {
 }
 
 // BenchPhases flattens the report into bench-JSON per-phase rows: one
-// "run" total, one row per flow phase, and the parallel pipeline's
-// speculation and commit windows as pseudo-phases. This is the data
-// behind the levelb seq-vs-par allocation attribution in
-// EXPERIMENTS.md.
+// "run" total and one row per flow phase.
 func (r *Report) BenchPhases() []obs.BenchPhase {
-	out := make([]obs.BenchPhase, 0, len(r.Phases)+3)
+	out := make([]obs.BenchPhase, 0, len(r.Phases)+1)
 	out = append(out, obs.BenchPhase{
 		Name: "run", NsPerOp: r.WallNS,
 		AllocsPerOp: r.Runtime.Allocs, BytesPerOp: r.Runtime.Bytes,
@@ -257,17 +130,6 @@ func (r *Report) BenchPhases() []obs.BenchPhase {
 			Name: p.Name, NsPerOp: p.WallNS,
 			AllocsPerOp: p.Allocs, BytesPerOp: p.Bytes,
 		})
-	}
-	if pp := r.Parallel; pp != nil {
-		out = append(out,
-			obs.BenchPhase{
-				Name: "parallel/speculate", NsPerOp: pp.SpecNS,
-				AllocsPerOp: pp.SpecAllocs, BytesPerOp: pp.SpecBytes,
-			},
-			obs.BenchPhase{
-				Name: "parallel/commit", NsPerOp: pp.ValidateNS + pp.CommitNS + pp.RerouteNS,
-				AllocsPerOp: pp.CommitAllocs, BytesPerOp: pp.CommitBytes,
-			})
 	}
 	return out
 }
@@ -280,7 +142,7 @@ func (r *Report) Table() string {
 	if !r.Complete {
 		state = "in progress"
 	}
-	fmt.Fprintf(&b, "perf report: run=%s workers=%d (%s)\n", orDash(r.Run), r.Workers, state)
+	fmt.Fprintf(&b, "perf report: run=%s (%s)\n", orDash(r.Run), state)
 	fmt.Fprintf(&b, "  wall %s  allocs %d (%s)  gc %d cycles / %s pause  sched-lat %s  goroutines<=%d\n",
 		ns(r.WallNS), r.Runtime.Allocs, bytesH(r.Runtime.Bytes),
 		r.Runtime.GCCycles, ns(r.Runtime.GCPauseNS), ns(r.Runtime.SchedLatNS), r.GoroutinesPeak)
@@ -289,28 +151,6 @@ func (r *Report) Table() string {
 		for _, p := range r.Phases {
 			fmt.Fprintf(&b, "  %-12s %10s %12d %14s %6d\n",
 				p.Name, ns(p.WallNS), p.Allocs, bytesH(p.Bytes), p.GCCycles)
-		}
-	}
-	if pp := r.Parallel; pp != nil {
-		fmt.Fprintf(&b, "  parallel: %d batches, %d speculated, %d committed, %d window conflicts, %d other discards\n",
-			pp.Batches, pp.Speculated, pp.Committed, pp.WindowConf, pp.OtherDiscards)
-		fmt.Fprintf(&b, "    speculation  %10s  %12d allocs  %14s  (%d COW track copies, %d events buffered)\n",
-			ns(pp.SpecNS), pp.SpecAllocs, bytesH(pp.SpecBytes), pp.CloneCells, pp.BufferedEvents)
-		fmt.Fprintf(&b, "    commit loop  validate %s  commit %s  reroute %s  queue-dwell %s\n",
-			ns(pp.ValidateNS), ns(pp.CommitNS), ns(pp.RerouteNS), ns(pp.DwellNS))
-		fmt.Fprintf(&b, "    budget: %d expansions over %d charge batches via worker forks\n",
-			pp.BudgetUsed, pp.BudgetCharges)
-		for _, w := range pp.Workers {
-			fmt.Fprintf(&b, "    worker w%-3d %5d specs %10s  %10d copies  %8d events  %10d expansions / %d charges\n",
-				w.Worker, w.Specs, ns(w.SpecNS), w.CloneCells, w.BufferedEvents, w.BudgetUsed, w.BudgetCharges)
-		}
-		for i, cp := range pp.ConflictPairs {
-			if i == 8 {
-				fmt.Fprintf(&b, "    ... %d more conflict pairs (full list in the JSON report)\n", len(pp.ConflictPairs)-i)
-				break
-			}
-			fmt.Fprintf(&b, "    conflict %s -> %s x%d (reroute %s)\n",
-				cp.Earlier, cp.Later, cp.Count, ns(cp.RerouteNS))
 		}
 	}
 	return b.String()

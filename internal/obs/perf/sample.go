@@ -1,23 +1,16 @@
 // Package perf is the router's performance-attribution layer: it
-// turns "par4 is 1.9x slower with 3x the allocs" into "the snapshot
-// clones own 61% of the extra allocations and the commit queue adds
-// 40µs of dwell per speculation".
+// answers "where did this run's time and memory go?" phase by phase,
+// without a profiler.
 //
-// A Collector is attached to a run twice over: as an obs.Tracer it
-// samples the Go runtime's allocation counters at every flow phase
-// boundary, and as the core router's PerfObserver it receives the
-// speculate/validate/commit pipeline's wait-time accounting — per-
-// worker speculation durations, commit-queue dwell, validate and
-// re-route cost, and which net pairs' dilated read windows collided.
-// Report renders the result as deterministic JSON and a human table.
+// A Collector is attached to a run as an obs.Tracer: it samples the Go
+// runtime's allocation counters at every flow phase boundary and takes
+// each phase's wall time from the phase events themselves. Report
+// renders the result as deterministic JSON and a human table.
 //
 // Determinism contract: all inputs that vary between runs — the clock,
 // the runtime sampler, the MemStats reader — are injectable. Under a
 // fixed clock and a fixed sampler the report bytes are identical run
-// to run at every worker count; across different worker counts the
-// phase stratum (event-derived wall times and routing totals) is
-// identical while the parallel stratum legitimately differs (a serial
-// run speculates nothing). See DESIGN.md section 15.
+// to run. See DESIGN.md section 15.
 package perf
 
 import (

@@ -45,12 +45,10 @@ const pollStride = 1024
 // Budget meters one routing run against a context and Limits. The
 // counters are atomic and the sticky error is set once by
 // compare-and-swap, so a single Budget tolerates concurrent chargers
-// (the parallel level-B driver, a server sharing one run budget across
-// helper goroutines) without a mutex on the hot path: each Charge is
-// one atomic add per reservation batch. Determinism of *which* charge
-// trips a cap is still only guaranteed for a single charger; the
-// parallel router keeps that guarantee by giving every speculative
-// worker its own Fork and reconciling totals at commit time.
+// (a server sharing one run budget across helper goroutines) without a
+// mutex on the hot path: each Charge is one atomic add per reservation
+// batch. Determinism of *which* charge trips a cap is only guaranteed
+// for a single charger, which the serial level B router is.
 //
 // A nil *Budget is valid everywhere and means "unbounded"; callers
 // thread budgets without nil checks.
@@ -61,7 +59,6 @@ type Budget struct {
 	totalMax int64
 	net      atomic.Int64 // expansions charged since BeginNet
 	total    atomic.Int64 // expansions charged since NewBudget
-	charges  atomic.Int64 // Charge calls accepted (reservation batches)
 	poll     atomic.Int64 // countdown to the next liveness poll
 	sticky   atomic.Pointer[error]
 }
@@ -93,72 +90,6 @@ func NewBudget(ctx context.Context, l Limits) *Budget {
 	return b
 }
 
-// Fork returns a speculative child budget for routing one net against
-// a snapshot: same context, deadline and per-net cap, fresh counters,
-// and a total allowance equal to the parent's remaining headroom at
-// fork time. Charges against the child never touch the parent; the
-// committer folds them back with Commit once the speculation is
-// validated, or discards them. A nil parent forks to nil (unbounded).
-func (b *Budget) Fork() *Budget {
-	if b == nil {
-		return nil
-	}
-	child := &Budget{ctx: b.ctx, deadline: b.deadline, netMax: b.netMax}
-	child.poll.Store(pollStride)
-	if b.totalMax > 0 {
-		rem := b.totalMax - b.total.Load()
-		if rem > 0 {
-			child.totalMax = rem
-		} else {
-			// Parent sits exactly at its cap: the child's first charge
-			// must trip (a remaining allowance of zero would read as
-			// unbounded).
-			child.totalMax = 1
-			child.total.Store(1)
-		}
-	}
-	return child
-}
-
-// ForkInto is Fork with child reuse: when child is a Budget previously
-// returned by Fork or ForkInto on any parent, it is re-armed in place —
-// counters zeroed, sticky state cleared, total allowance re-derived
-// from b's current headroom — and returned, so a worker that speculates
-// once per batch does not allocate a fresh fork each time. A nil child
-// (or nil b, which forks to nil/unbounded) falls back to Fork. The
-// reset is plain stores on the child's atomics; callers must not reuse
-// a child that other goroutines can still observe.
-func (b *Budget) ForkInto(child *Budget) *Budget {
-	if b == nil {
-		return nil
-	}
-	if child == nil {
-		return b.Fork()
-	}
-	child.ctx = b.ctx
-	child.deadline = b.deadline
-	child.netMax = b.netMax
-	child.totalMax = 0
-	child.net.Store(0)
-	child.total.Store(0)
-	child.charges.Store(0)
-	child.poll.Store(pollStride)
-	child.sticky.Store(nil)
-	if b.totalMax > 0 {
-		rem := b.totalMax - b.total.Load()
-		if rem > 0 {
-			child.totalMax = rem
-		} else {
-			// Parent sits exactly at its cap: the child's first charge
-			// must trip (a remaining allowance of zero would read as
-			// unbounded).
-			child.totalMax = 1
-			child.total.Store(1)
-		}
-	}
-	return child
-}
-
 // BeginNet opens a new per-net accounting window: the per-net
 // expansion counter resets, the run-wide counters continue.
 func (b *Budget) BeginNet() {
@@ -181,7 +112,6 @@ func (b *Budget) Charge(n int) error {
 		return *p
 	}
 	nn := int64(n)
-	b.charges.Add(1)
 	net := b.net.Add(nn)
 	total := b.total.Add(nn)
 	if b.totalMax > 0 && total > b.totalMax {
@@ -199,31 +129,6 @@ func (b *Budget) Charge(n int) error {
 		return b.checkLive()
 	}
 	return nil
-}
-
-// CanCommit reports whether folding n more charged expansions into the
-// run total stays within the total cap — i.e. whether a serial run of
-// the same work from the current total would have completed without a
-// sticky total-cap trip. The parallel committer uses it to decide
-// between committing a speculation and re-running the net serially.
-func (b *Budget) CanCommit(n int64) bool {
-	if b == nil || b.totalMax <= 0 {
-		return true
-	}
-	return b.total.Load()+n <= b.totalMax
-}
-
-// Commit folds n expansions charged to a validated speculative Fork
-// into the run totals, as one atomic reservation batch. The per-net
-// counter is set to n (the committed net's own spend), mirroring what
-// BeginNet-plus-incremental charging would have left behind. Callers
-// must gate on CanCommit first; Commit itself never trips.
-func (b *Budget) Commit(n int64) {
-	if b == nil || n == 0 {
-		return
-	}
-	b.total.Add(n)
-	b.net.Store(n)
 }
 
 // trip records a sticky run-terminating error exactly once; the first
@@ -282,17 +187,4 @@ func (b *Budget) NetUsed() int64 {
 		return 0
 	}
 	return b.net.Load()
-}
-
-// Charges returns the number of Charge calls accepted past the sticky
-// gate — the budget's reservation-batch traffic. The perf attribution
-// layer reads it off each speculative fork as a contention proxy: one
-// charge is one atomic add on the shared-budget path, so fork charge
-// counts bound what the workers would otherwise have inflicted on one
-// shared budget.
-func (b *Budget) Charges() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.charges.Load()
 }

@@ -105,14 +105,15 @@ type Record struct {
 }
 
 // RunOpts are the submission knobs a requeued run must be re-executed
-// with to reproduce the original result.
+// with to reproduce the original result. Records written before level
+// B became serial may also carry "workers"; decoding ignores it, since
+// no knob changes the routing result.
 type RunOpts struct {
 	DeadlineMS  int64 `json:"deadline_ms,omitempty"`
 	NetBudget   int64 `json:"net_budget,omitempty"`
 	TotalBudget int64 `json:"total_budget,omitempty"`
 	Partial     bool  `json:"partial,omitempty"`
 	HeatWin     int   `json:"heat_win,omitempty"`
-	Workers     int   `json:"workers,omitempty"`
 }
 
 // ResultRecord is the persisted summary of a finished run — the same

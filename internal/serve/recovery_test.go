@@ -7,11 +7,14 @@ package serve
 // (the CI chaos-smoke job does the real kill -9 against the binary).
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -218,7 +221,7 @@ func TestRetrySupervision(t *testing.T) {
 	var flakyCalls, doomedCalls atomic.Int32
 	s.flows["flaky"] = func(in *gen.Instance, opt flow.Options) (*flow.Result, error) {
 		if flakyCalls.Add(1) <= 2 {
-			return nil, fmt.Errorf("phantom speculation conflict: %w", robust.ErrInternal)
+			return nil, fmt.Errorf("phantom invariant violation: %w", robust.ErrInternal)
 		}
 		return flow.Proposed(in, opt)
 	}
@@ -384,5 +387,98 @@ func TestEvictionRecovery(t *testing.T) {
 	}
 	if evicted != 3 {
 		t.Fatalf("replay sees %d evicted runs, want 3 (run-1..run-3)", evicted)
+	}
+}
+
+// TestRecoverLegacyWorkersOpt pins journal compatibility with records
+// written while level B still took a worker count: an accepted record
+// whose opts carry "workers":4 must decode, requeue and reproduce the
+// reference result hash. Decoding ignores the unknown field.
+func TestRecoverLegacyWorkersOpt(t *testing.T) {
+	inst := testInstance(t)
+	ref := New(Config{})
+	tsRef := httptest.NewServer(ref.Handler())
+	_, refSt, raw := postRun(t, tsRef.URL, "?flow=proposed&wait=1", inst)
+	tsRef.Close()
+	if refSt.State != StateDone || refSt.ResultHash == "" {
+		t.Fatalf("reference run = %+v (%s)", refSt, raw)
+	}
+
+	// Life 1 journals an accepted and a started record, then dies
+	// mid-route.
+	wal := filepath.Join(t.TempDir(), "wal.ndjson")
+	j1, _ := openJournal(t, wal)
+	ctx1, cancel1 := context.WithCancel(context.Background())
+	defer cancel1()
+	s1 := New(Config{BaseCtx: ctx1, Journal: j1})
+	routing := make(chan struct{}, 1)
+	s1.flows["proposed"] = func(in *gen.Instance, opt flow.Options) (*flow.Result, error) {
+		routing <- struct{}{}
+		<-opt.Ctx.Done()
+		return nil, fmt.Errorf("interrupted mid-route: %w", robust.ErrCanceled)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	_, st1, _ := postRun(t, ts1.URL, "?flow=proposed", inst)
+	select {
+	case <-routing:
+	case <-time.After(5 * time.Second):
+		t.Fatal("journaled run never started")
+	}
+	j1.Close()
+	ts1.Close()
+
+	// Rewrite the journal as an older server would have written it:
+	// the accepted record's opts gain "workers":4.
+	f, err := os.Open(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, _, err := journal.DecodeAll(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legacy bytes.Buffer
+	patched := 0
+	for i := range recs {
+		payload, err := json.Marshal(&recs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recs[i].Kind == journal.KindAccepted {
+			var fields map[string]json.RawMessage
+			if err := json.Unmarshal(payload, &fields); err != nil {
+				t.Fatal(err)
+			}
+			fields["opts"] = json.RawMessage(`{"workers":4}`)
+			if payload, err = json.Marshal(fields); err != nil {
+				t.Fatal(err)
+			}
+			patched++
+		}
+		fmt.Fprintf(&legacy, "%d %08x %s\n", len(payload), crc32.ChecksumIEEE(payload), payload)
+	}
+	if patched != 1 {
+		t.Fatalf("patched %d accepted records, want 1", patched)
+	}
+	if err := os.WriteFile(wal, legacy.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, rep := openJournal(t, wal)
+	defer j2.Close()
+	s2 := New(Config{Journal: j2})
+	if finished, requeued, failed := s2.Recover(rep); finished != 0 || requeued != 1 || failed != 0 {
+		t.Fatalf("Recover = %d finished, %d requeued, %d failed; want 0/1/0", finished, requeued, failed)
+	}
+	if !s2.Wait(st1.ID) {
+		t.Fatalf("requeued run %s unknown to recovered server", st1.ID)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	st2 := getStatus(t, ts2.URL+"/runs/"+st1.ID)
+	if st2.State != StateDone || st2.ResultHash != refSt.ResultHash {
+		t.Fatalf("legacy record recovered to state %s hash %s, want done %s (err %q)",
+			st2.State, st2.ResultHash, refSt.ResultHash, st2.Error)
 	}
 }

@@ -283,15 +283,10 @@ func TestSSECursorOutOfRange(t *testing.T) {
 var sseDurField = regexp.MustCompile(`,"dur_ns":\d+`)
 
 // sseNormalize reduces a parsed stream to its deterministic content:
-// sequence ids dropped (parallel batch events consume sequence numbers
-// at workers > 1), EvParallel summaries dropped (a serial run cannot
-// emit them), wall times stripped.
+// sequence ids dropped and wall times stripped.
 func sseNormalize(msgs []sseMsg) string {
 	var b strings.Builder
 	for _, m := range msgs {
-		if m.event == "parallel" {
-			continue
-		}
 		b.WriteString(m.event)
 		b.WriteByte(' ')
 		b.WriteString(sseDurField.ReplaceAllString(m.data, ""))
@@ -300,33 +295,32 @@ func sseNormalize(msgs []sseMsg) string {
 	return b.String()
 }
 
-// TestSSEStreamWorkerEquivalence extends the router's determinism
-// contract to the streaming surface: after normalisation, the SSE
-// payload of a parallel run is byte-identical to the serial run's.
-func TestSSEStreamWorkerEquivalence(t *testing.T) {
+// TestSSEStreamDeterministic extends the router's determinism
+// contract to the streaming surface: after normalisation, two runs of
+// one instance stream byte-identical payloads.
+func TestSSEStreamDeterministic(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	inst := testInstance(t)
 
-	streamOf := func(query string) string {
-		_, st, raw := postRun(t, ts.URL, query, inst)
+	streamOf := func() string {
+		_, st, raw := postRun(t, ts.URL, "?flow=proposed&wait=1", inst)
 		if st.State != StateDone {
-			t.Fatalf("run %s = %s %.200s", query, st.State, raw)
+			t.Fatalf("run = %s %.200s", st.State, raw)
 		}
 		return sseNormalize(getSSE(t, ts.URL+"/runs/"+st.ID+"/events", ""))
 	}
-	serial := streamOf("?flow=proposed&wait=1&workers=1")
-	par := streamOf("?flow=proposed&wait=1&workers=4")
-	if serial != par {
-		a, b := strings.Split(serial, "\n"), strings.Split(par, "\n")
+	first, second := streamOf(), streamOf()
+	if first != second {
+		a, b := strings.Split(first, "\n"), strings.Split(second, "\n")
 		for i := range a {
 			other := "<missing>"
 			if i < len(b) {
 				other = b[i]
 			}
 			if a[i] != other {
-				t.Fatalf("streams diverge at line %d:\n  serial:   %s\n  parallel: %s", i+1, a[i], other)
+				t.Fatalf("streams diverge at line %d:\n  first:  %s\n  second: %s", i+1, a[i], other)
 			}
 		}
 		t.Fatalf("streams differ in length: %d vs %d lines", len(a), len(b))
