@@ -78,8 +78,10 @@ func Greedy(p *Problem) (*Solution, error) {
 		pinsLeft: p.Nets(),
 	}
 	// Start with as many tracks as the density lower bound; the scan
-	// inserts more when needed.
-	for i := 0; i < p.Density(); i++ {
+	// inserts more when needed. Density is O(width·nets), so compute it
+	// once rather than in the loop condition.
+	density := p.Density()
+	for i := 0; i < density; i++ {
 		g.tracks = append(g.tracks, &trk{})
 	}
 	width := p.Width()
