@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -47,6 +49,35 @@ func TestPerfReportDeterministic(t *testing.T) {
 	a, b := perfReport(t), perfReport(t)
 	if !bytes.Equal(a, b) {
 		t.Errorf("report bytes differ between identical runs:\n%s\n---\n%s", a, b)
+	}
+}
+
+// TestPerfReportPhaseStratumWorkerIndependent pins the cross-worker-
+// count half of the contract: level B is serial, so the phase stratum
+// (names, counts, wall times from the flow clock, sampler deltas) is
+// identical whatever GOMAXPROCS the process runs under.
+func TestPerfReportPhaseStratumWorkerIndependent(t *testing.T) {
+	decode := func(raw []byte) *perf.Report {
+		var r perf.Report
+		if err := json.Unmarshal(raw, &r); err != nil {
+			t.Fatalf("report does not decode: %v", err)
+		}
+		return &r
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	base := decode(perfReport(t))
+	if len(base.Phases) == 0 {
+		t.Fatal("serial report carries no phases")
+	}
+	if !base.Complete {
+		t.Fatal("report not marked complete after Finish")
+	}
+	for _, w := range []int{2, 4} {
+		runtime.GOMAXPROCS(w)
+		r := decode(perfReport(t))
+		if !reflect.DeepEqual(base.Phases, r.Phases) {
+			t.Errorf("GOMAXPROCS=%d: phase stratum diverges from GOMAXPROCS=1:\n%+v\nvs\n%+v", w, base.Phases, r.Phases)
+		}
 	}
 }
 
