@@ -42,6 +42,7 @@ import (
 	"overcell/internal/gen"
 	"overcell/internal/metrics"
 	"overcell/internal/obs"
+	"overcell/internal/obs/congest"
 	"overcell/internal/obs/perf"
 	"overcell/internal/render"
 	"overcell/internal/robust"
@@ -228,22 +229,22 @@ func run() int {
 		if res == nil || res.BGrid == nil {
 			die(fmt.Errorf("flow %q has no level B grid to map; use -flow proposed or channelfree", *flowName))
 		}
-		h := obs.CollectHeatmap(res.BGrid, *heatwin)
+		heat := congest.Tile(res.BGrid, *heatwin)
 		f, err := os.Create(*heatmap)
 		if err != nil {
 			die(err)
 		}
 		defer f.Close()
 		if strings.HasSuffix(*heatmap, ".svg") {
-			err = render.HeatmapSVG(f, h)
+			err = render.CongestionSVG(f, heat.Report())
 		} else {
-			_, err = io.WriteString(f, render.HeatmapASCII(h))
+			_, err = io.WriteString(f, render.HeatmapASCII(heat))
 		}
 		if err != nil {
 			die(err)
 		}
-		c, r, occ := h.Hottest()
-		fmt.Printf("wrote %s (hottest tile (%d,%d) occ=%.2f)\n", *heatmap, c, r, occ)
+		fmt.Printf("wrote %s (hottest tile (%d,%d) occ=%.2f)\n",
+			*heatmap, heat.PeakCol, heat.PeakRow, float64(heat.PeakBP)/10000)
 	}
 	if *dump != "" && res != nil && res.LevelB != nil {
 		f, err := os.Create(*dump)

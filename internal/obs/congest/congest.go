@@ -7,7 +7,9 @@
 // counts, the series — including its JSON encoding — is byte-identical
 // run to run. This is the
 // data surface the ROADMAP's congestion-driven global-routing stage
-// consumes, and what GET /runs/{id}/congestion serves.
+// consumes, and what GET /runs/{id}/congestion serves. Tile measures
+// one frame of any grid; the post-run heatmap (ocroute -heatmap, GET
+// /runs/{id}/heatmap.svg) is Tile of the finished level B grid.
 //
 // All occupancy fractions are stored in basis points (1/100 of a
 // percent, 0..10000): integer values survive JSON round-trips exactly
@@ -21,10 +23,10 @@ import (
 	"overcell/internal/grid"
 )
 
-// Defaults: the tile window matches the post-run heatmap's, and a tile
-// counts as overflowed when four fifths of its (point, layer) capacity
-// is gone — past that the completion ladder starts escalating nets
-// through it.
+// Defaults: tiles are 8 tracks square (ocroute's -heatwin default),
+// and a tile counts as overflowed when four fifths of its (point,
+// layer) capacity is gone — past that the completion ladder starts
+// escalating nets through it.
 const (
 	DefaultWin        = 8
 	DefaultOverflowBP = 8000
@@ -85,22 +87,14 @@ func New(win, overflowBP int) *Series {
 // NetCommitted implements core.CommitObserver: sample the grid after
 // one net's metal landed on it.
 func (s *Series) NetCommitted(rank int, net string, failed bool, g *grid.Grid) {
-	cols := (g.NX() + s.win - 1) / s.win
-	rows := (g.NY() + s.win - 1) / s.win
-	frame := make([]int, cols*rows)
-	sm := Sample{Rank: rank, Net: net, Failed: failed, PeakBP: -1}
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			cw := geom.Iv(c*s.win, (c+1)*s.win-1).Intersect(geom.Iv(0, g.NX()-1))
-			rw := geom.Iv(r*s.win, (r+1)*s.win-1).Intersect(geom.Iv(0, g.NY()-1))
-			bp := occupancyBP(g, cw, rw)
-			frame[r*cols+c] = bp
-			if bp > sm.PeakBP {
-				sm.PeakBP, sm.PeakCol, sm.PeakRow = bp, c, r
-			}
-			if bp >= s.overflowBP {
-				sm.Overflow++
-			}
+	f := Tile(g, s.win)
+	sm := Sample{
+		Rank: rank, Net: net, Failed: failed,
+		PeakBP: f.PeakBP, PeakCol: f.PeakCol, PeakRow: f.PeakRow,
+	}
+	for _, bp := range f.BP {
+		if bp >= s.overflowBP {
+			sm.Overflow++
 		}
 	}
 	h, v := g.BlockedPerLayer()
@@ -108,10 +102,51 @@ func (s *Series) NetCommitted(rank int, net string, failed bool, g *grid.Grid) {
 	sm.UtilHBP = ratioBP(h, points)
 	sm.UtilVBP = ratioBP(v, points)
 	s.mu.Lock()
-	s.cols, s.rows = cols, rows
+	s.cols, s.rows = f.Cols, f.Rows
 	s.samples = append(s.samples, sm)
-	s.frames = append(s.frames, frame)
+	s.frames = append(s.frames, f.BP)
 	s.mu.Unlock()
+}
+
+// Frame is one tiling of a grid into Win-by-Win track windows. BP
+// holds each tile's blocked fraction in basis points, row-major
+// (BP[r*Cols+c]); tile (0,0) is the bottom-left window, matching grid
+// orientation. PeakBP is the hottest tile's value at (PeakCol,
+// PeakRow), ties to the lowest row, then column.
+type Frame struct {
+	Win, Cols, Rows          int
+	BP                       []int
+	PeakBP, PeakCol, PeakRow int
+}
+
+// Tile measures g's per-tile congestion over win-by-win track windows
+// (win < 1 means DefaultWin). It is the one tiling behind every
+// congestion view: each series sample, the post-run heatmap and its
+// SVG.
+func Tile(g *grid.Grid, win int) Frame {
+	if win < 1 {
+		win = DefaultWin
+	}
+	f := Frame{Win: win, Cols: (g.NX() + win - 1) / win, Rows: (g.NY() + win - 1) / win, PeakBP: -1}
+	f.BP = make([]int, f.Cols*f.Rows)
+	for r := 0; r < f.Rows; r++ {
+		for c := 0; c < f.Cols; c++ {
+			cw := geom.Iv(c*win, (c+1)*win-1).Intersect(geom.Iv(0, g.NX()-1))
+			rw := geom.Iv(r*win, (r+1)*win-1).Intersect(geom.Iv(0, g.NY()-1))
+			bp := occupancyBP(g, cw, rw)
+			f.BP[r*f.Cols+c] = bp
+			if bp > f.PeakBP {
+				f.PeakBP, f.PeakCol, f.PeakRow = bp, c, r
+			}
+		}
+	}
+	return f
+}
+
+// Report wraps f as a one-frame report, the shape
+// render.CongestionSVG draws as a static heatmap.
+func (f Frame) Report() *Report {
+	return &Report{Win: f.Win, Cols: f.Cols, Rows: f.Rows, Frames: [][]int{f.BP}}
 }
 
 // occupancyBP is the blocked fraction of the index-space window in

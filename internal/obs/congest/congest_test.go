@@ -105,3 +105,55 @@ func TestReportJSONStable(t *testing.T) {
 		t.Fatalf("defaults did not round-trip: %+v", rt)
 	}
 }
+
+// TestTile covers the tiling itself: whole and ragged tilings of a
+// grid whose left half is fully blocked, and the hottest-tile
+// tie-break.
+func TestTile(t *testing.T) {
+	leftHalf := func(n int) *grid.Grid {
+		xs := make([]int, 2*n)
+		for i := range xs {
+			xs[i] = i * 2
+		}
+		g, err := grid.New(xs, xs[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < n; r++ {
+			g.BlockH(r, geom.Iv(0, n-1))
+		}
+		for c := 0; c < n; c++ {
+			g.BlockV(c, geom.Iv(0, n-1))
+		}
+		return g
+	}
+	f := Tile(leftHalf(16), 8) // 32x16 tracks
+	if f.Win != 8 || f.Cols != 4 || f.Rows != 2 || len(f.BP) != 8 {
+		t.Fatalf("tiling = %dx%d win %d, %d tiles; want 4x2 win 8", f.Cols, f.Rows, f.Win, len(f.BP))
+	}
+	want := []int{10000, 10000, 0, 0, 10000, 10000, 0, 0}
+	for i, bp := range f.BP {
+		if bp != want[i] {
+			t.Fatalf("frame = %v, want %v", f.BP, want)
+		}
+	}
+	// Four tiles tie at 10000 bp: the lowest row, then column, wins.
+	if f.PeakBP != 10000 || f.PeakCol != 0 || f.PeakRow != 0 {
+		t.Fatalf("hottest = (%d,%d) %d bp, want (0,0) 10000", f.PeakCol, f.PeakRow, f.PeakBP)
+	}
+
+	// Ragged edge: a window that does not divide the track count.
+	f = Tile(uniformGrid(t, 10), 8)
+	if f.Cols != 2 || f.Rows != 2 || len(f.BP) != 4 || f.PeakBP != 0 {
+		t.Fatalf("ragged tiling = %dx%d, %d tiles, peak %d bp", f.Cols, f.Rows, len(f.BP), f.PeakBP)
+	}
+	if f = Tile(uniformGrid(t, 10), 0); f.Win != DefaultWin {
+		t.Fatalf("win 0 tiled at %d, want DefaultWin", f.Win)
+	}
+
+	// A one-frame report carries exactly this frame.
+	rep := f.Report()
+	if rep.Cols != f.Cols || rep.Rows != f.Rows || len(rep.Frames) != 1 || len(rep.Frames[0]) != 4 {
+		t.Fatalf("one-frame report = %+v", rep)
+	}
+}

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-
-	"overcell/internal/geom"
 )
 
 func TestNopAndCombine(t *testing.T) {
@@ -132,50 +130,6 @@ func TestCollectorAggregation(t *testing.T) {
 	// Summary is deterministic across calls (sorted map iteration).
 	if c.Summary() != sum {
 		t.Error("summary not deterministic")
-	}
-}
-
-// flatSurface is a synthetic CongestionSurface: a nx-by-ny grid where
-// the left half is fully blocked and the right half is free.
-type flatSurface struct{ nx, ny int }
-
-func (s flatSurface) NX() int { return s.nx }
-func (s flatSurface) NY() int { return s.ny }
-func (s flatSurface) CongestionIn(cols, rows geom.Interval) float64 {
-	blocked := 0
-	for c := cols.Lo; c <= cols.Hi; c++ {
-		if c < s.nx/2 {
-			blocked += rows.Len()
-		}
-	}
-	return float64(blocked) / float64(cols.Len()*rows.Len())
-}
-
-func TestHeatmap(t *testing.T) {
-	h := CollectHeatmap(flatSurface{nx: 32, ny: 16}, 8)
-	if err := h.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if h.Cols != 4 || h.Rows != 2 {
-		t.Fatalf("tiles = %dx%d, want 4x2", h.Cols, h.Rows)
-	}
-	if h.At(0, 0) != 1 || h.At(3, 1) != 0 {
-		t.Errorf("occupancy: left=%v right=%v", h.At(0, 0), h.At(3, 1))
-	}
-	if h.Max() != 1 {
-		t.Errorf("max = %v", h.Max())
-	}
-	c, r, occ := h.Hottest()
-	if c != 0 || r != 0 || occ != 1 {
-		t.Errorf("hottest = (%d,%d) %v", c, r, occ)
-	}
-	// Ragged edge: win that does not divide the track count.
-	h = CollectHeatmap(flatSurface{nx: 10, ny: 10}, 8)
-	if err := h.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if h.Cols != 2 || h.Rows != 2 {
-		t.Errorf("ragged tiles = %dx%d", h.Cols, h.Rows)
 	}
 }
 

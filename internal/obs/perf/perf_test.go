@@ -3,6 +3,7 @@ package perf
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -11,8 +12,8 @@ import (
 )
 
 // fakeEnv builds a collector over fully deterministic inputs: a
-// fixed-step clock, a sampler that advances by a constant delta per
-// reading, and a constant MemStats reader.
+// fixed-step clock and a sampler that advances by a constant delta per
+// reading.
 type fakeEnv struct {
 	now   time.Time
 	step  time.Duration
@@ -41,12 +42,8 @@ func (f *fakeEnv) sampler() Sample {
 	return f.s
 }
 
-func (f *fakeEnv) mem() MemSnap {
-	return MemSnap{TotalAllocBytes: 1 << 20, Mallocs: 500, HeapSysBytes: 1 << 22, NumGC: 2, PauseTotalNS: 300}
-}
-
 func (f *fakeEnv) collector(run string) *Collector {
-	return New(Options{Run: run, Clock: f.clock, Sampler: f.sampler, Mem: f.mem})
+	return New(Options{Run: run, Clock: f.clock, Sampler: f.sampler})
 }
 
 // drive replays one synthetic run of two phases through the tracer
@@ -131,7 +128,6 @@ func TestConstantInputsCollapseDurations(t *testing.T) {
 		Run:     "flat",
 		Clock:   func() time.Time { return at },
 		Sampler: func() Sample { return Sample{} },
-		Mem:     func() MemSnap { return MemSnap{} },
 	})
 	drive(c)
 	r := c.Report()
@@ -213,8 +209,27 @@ func TestRuntimeSamplerSmoke(t *testing.T) {
 	if after.Goroutines <= 0 {
 		t.Errorf("goroutine count = %d, want > 0", after.Goroutines)
 	}
-	if ReadMem().Mallocs == 0 {
-		t.Error("ReadMem returned zero Mallocs")
+}
+
+// tinySink keeps the tiny allocations below on the heap.
+var tinySink *int64
+
+// TestRuntimeSamplerCountsTinyObjects: the sampler counts every heap
+// object, as MemStats.Mallocs and go test -benchmem do, not the 16-byte
+// blocks the tiny allocator packs 8-byte noscan objects into (which
+// would read about n/2 here). The GCs flush every P's allocation
+// cache, so both readings are exact.
+func TestRuntimeSamplerCountsTinyObjects(t *testing.T) {
+	const n = 100000
+	smp := RuntimeSampler()
+	runtime.GC()
+	before := smp()
+	for i := 0; i < n; i++ {
+		tinySink = new(int64)
+	}
+	runtime.GC()
+	if d := smp().Sub(before); d.Allocs < n {
+		t.Errorf("Allocs delta = %d across %d tiny allocations, want >= %d", d.Allocs, n, n)
 	}
 }
 

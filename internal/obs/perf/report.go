@@ -9,8 +9,10 @@ import (
 	"overcell/internal/obs"
 )
 
-// ReportSchema versions the perf-report JSON document.
-const ReportSchema = 1
+// ReportSchema versions the perf-report JSON document. Schema 2 dropped
+// the run-level "mem" block (a second, stop-the-world MemStats reading
+// of what "runtime" already counts).
+const ReportSchema = 2
 
 // Report is one run's performance attribution, rendered from a
 // Collector. Field order and the phase order (first seen) are fixed,
@@ -21,11 +23,8 @@ type Report struct {
 	// Complete is false for a mid-run snapshot (Finish not yet called).
 	Complete bool  `json:"complete"`
 	WallNS   int64 `json:"wall_ns"`
-	// Runtime is the whole-run runtime/metrics delta; Mem the
-	// whole-run MemStats delta (HeapSysBytes is the end-of-run level,
-	// not a delta).
+	// Runtime is the whole-run runtime/metrics delta.
 	Runtime        RuntimeDelta  `json:"runtime"`
-	Mem            MemDelta      `json:"mem"`
 	GoroutinesPeak int64         `json:"goroutines_peak"`
 	Phases         []PhaseReport `json:"phases,omitempty"`
 }
@@ -37,15 +36,6 @@ type RuntimeDelta struct {
 	GCCycles   uint64 `json:"gc_cycles"`
 	GCPauseNS  int64  `json:"gc_pause_ns"`
 	SchedLatNS int64  `json:"sched_lat_ns"`
-}
-
-// MemDelta is the run-level MemStats delta.
-type MemDelta struct {
-	TotalAllocBytes uint64 `json:"total_alloc_bytes"`
-	Mallocs         uint64 `json:"mallocs"`
-	NumGC           uint32 `json:"num_gc"`
-	PauseTotalNS    uint64 `json:"pause_total_ns"`
-	HeapSysBytes    uint64 `json:"heap_sys_bytes"`
 }
 
 // PhaseReport is one flow phase's attribution: wall time from the
@@ -67,11 +57,10 @@ type PhaseReport struct {
 func (c *Collector) Report() *Report {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	endT, endS, endM := c.endT, c.endS, c.endM
+	endT, endS := c.endT, c.endS
 	if !c.finished {
 		endT = c.clock()
 		endS = c.sampler()
-		endM = c.mem()
 	}
 	r := &Report{
 		Schema:         ReportSchema,
@@ -85,13 +74,6 @@ func (c *Collector) Report() *Report {
 		r.Runtime = RuntimeDelta{
 			Allocs: d.Allocs, Bytes: d.Bytes, GCCycles: d.GCCycles,
 			GCPauseNS: d.GCPauseNS, SchedLatNS: d.SchedLatNS,
-		}
-		r.Mem = MemDelta{
-			TotalAllocBytes: endM.TotalAllocBytes - c.startM.TotalAllocBytes,
-			Mallocs:         endM.Mallocs - c.startM.Mallocs,
-			NumGC:           endM.NumGC - c.startM.NumGC,
-			PauseTotalNS:    endM.PauseTotalNS - c.startM.PauseTotalNS,
-			HeapSysBytes:    endM.HeapSysBytes,
 		}
 		if g := endS.Goroutines; g > r.GoroutinesPeak {
 			r.GoroutinesPeak = g

@@ -7,15 +7,14 @@
 // each phase's wall time from the phase events themselves. Report
 // renders the result as deterministic JSON and a human table.
 //
-// Determinism contract: all inputs that vary between runs — the clock,
-// the runtime sampler, the MemStats reader — are injectable. Under a
-// fixed clock and a fixed sampler the report bytes are identical run
-// to run. See DESIGN.md section 15.
+// Determinism contract: all inputs that vary between runs — the clock
+// and the runtime sampler — are injectable. Under a fixed clock and a
+// fixed sampler the report bytes are identical run to run. See
+// DESIGN.md section 15.
 package perf
 
 import (
 	"math"
-	"runtime"
 	rm "runtime/metrics"
 )
 
@@ -25,7 +24,7 @@ import (
 // start; deltas between two Samples attribute allocation and GC
 // activity to the code that ran in between.
 type Sample struct {
-	Allocs     uint64 // heap objects allocated
+	Allocs     uint64 // heap objects allocated, tiny objects included
 	Bytes      uint64 // heap bytes allocated
 	GCCycles   uint64 // completed GC cycles
 	GCPauseNS  int64  // approximate total stop-the-world pause
@@ -65,9 +64,13 @@ func (s Sample) Add(d Sample) Sample {
 
 // sampleNames are the runtime/metrics series a sampler reads. All of
 // them are cheap (no world stop); the two histogram series are reduced
-// to approximate totals.
+// to approximate totals. /gc/heap/allocs:objects counts each 16-byte
+// tiny block once, however many tiny objects it packs; adding
+// /gc/heap/tiny/allocs:objects counts every object, the figure
+// runtime.MemStats.Mallocs and go test -benchmem report.
 var sampleNames = []string{
 	"/gc/heap/allocs:objects",
+	"/gc/heap/tiny/allocs:objects",
 	"/gc/heap/allocs:bytes",
 	"/gc/cycles/total:gc-cycles",
 	"/gc/pauses:seconds",
@@ -90,8 +93,8 @@ func RuntimeSampler() func() Sample {
 		for i := range buf {
 			v := &buf[i].Value
 			switch buf[i].Name {
-			case "/gc/heap/allocs:objects":
-				s.Allocs = uintValue(v)
+			case "/gc/heap/allocs:objects", "/gc/heap/tiny/allocs:objects":
+				s.Allocs += uintValue(v)
 			case "/gc/heap/allocs:bytes":
 				s.Bytes = uintValue(v)
 			case "/gc/cycles/total:gc-cycles":
@@ -145,28 +148,4 @@ func histTotalNS(v *rm.Value) int64 {
 		total += float64(n) * mid
 	}
 	return int64(total * 1e9)
-}
-
-// MemSnap is the heavier run-level runtime.MemStats reading taken once
-// at Start and once at Finish (ReadMemStats stops the world, so it is
-// kept off phase and batch boundaries).
-type MemSnap struct {
-	TotalAllocBytes uint64
-	Mallocs         uint64
-	HeapSysBytes    uint64
-	NumGC           uint32
-	PauseTotalNS    uint64
-}
-
-// ReadMem reads the live runtime's MemStats into a MemSnap.
-func ReadMem() MemSnap {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return MemSnap{
-		TotalAllocBytes: ms.TotalAlloc,
-		Mallocs:         ms.Mallocs,
-		HeapSysBytes:    ms.HeapSys,
-		NumGC:           ms.NumGC,
-		PauseTotalNS:    ms.PauseTotalNs,
-	}
 }

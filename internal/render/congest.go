@@ -24,14 +24,18 @@ func heatColor(occ float64) (r, g, b int) {
 	} else {
 		r, g = 255, int(255*(1-occ)*2)
 	}
-	b = int(255 * (1 - minf(occ*2, 1)))
+	b = int(255 * (1 - min(occ*2, 1)))
 	return r, g, b
 }
 
-// CongestionSVG draws a congestion time-series as an animated heatmap:
-// one SMIL-animated rect per tile cycling through the report's frames,
-// plus a progress bar tracking the commit index. Reports without
-// frames (or without samples) render a single static placeholder.
+// CongestionSVG draws a congestion time-series as a heatmap: white
+// (free) through yellow to red (fully occupied), bottom row at the
+// bottom. A tile that changes across the report's frames is one
+// SMIL-animated rect cycling through them, and a progress bar tracks
+// the commit index; a tile that never changes is one plain rect with
+// a tooltip naming it and its occupancy. A one-frame report (a
+// congest.Frame's) is therefore a static heatmap. Reports without
+// frames render a single static placeholder.
 func CongestionSVG(w io.Writer, rep *congest.Report) error {
 	const tile = 12
 	frames := strideFrames(rep.Frames)
@@ -41,7 +45,11 @@ func CongestionSVG(w io.Writer, rep *congest.Report) error {
 				`<text x="4" y="16" font-size="12">no congestion samples</text></svg>`+"\n")
 		return err
 	}
-	width, height := rep.Cols*tile, rep.Rows*tile+4
+	animated := len(frames) > 1
+	width, height := rep.Cols*tile, rep.Rows*tile
+	if animated {
+		height += 4 // progress bar
+	}
 	// 4 frames per second, looping.
 	dur := float64(len(frames)) * 0.25
 	if _, err := fmt.Fprintf(w,
@@ -61,13 +69,15 @@ func CongestionSVG(w io.Writer, rep *congest.Report) error {
 			}
 			x, y := c*tile, (rep.Rows-1-r)*tile
 			if static {
-				// Obstacle-only (or never-touched) tile: one plain rect.
+				// Unchanging tile (every tile of a one-frame report): one
+				// plain rect, free ones left to the background.
 				if frames[0][idx] == 0 {
 					continue
 				}
-				cr, cg, cb := heatColor(float64(frames[0][idx]) / 10000)
-				fmt.Fprintf(w, `<rect x="%d" y="%d" width="%d" height="%d" fill="rgb(%d,%d,%d)"/>`+"\n",
-					x, y, tile, tile, cr, cg, cb)
+				occ := float64(frames[0][idx]) / 10000
+				cr, cg, cb := heatColor(occ)
+				fmt.Fprintf(w, `<rect x="%d" y="%d" width="%d" height="%d" fill="rgb(%d,%d,%d)"><title>tile (%d,%d) occ=%.2f</title></rect>`+"\n",
+					x, y, tile, tile, cr, cg, cb, c, r, occ)
 				continue
 			}
 			fmt.Fprintf(w, `<rect x="%d" y="%d" width="%d" height="%d"><animate attributeName="fill" dur="%.2fs" repeatCount="indefinite" calcMode="discrete" values="`,
@@ -82,9 +92,11 @@ func CongestionSVG(w io.Writer, rep *congest.Report) error {
 			fmt.Fprint(w, `"/></rect>`+"\n")
 		}
 	}
-	// Progress bar: sweeps once per loop, left to right.
-	fmt.Fprintf(w, `<rect x="0" y="%d" width="0" height="4" fill="steelblue"><animate attributeName="width" dur="%.2fs" repeatCount="indefinite" values="0;%d"/></rect>`+"\n",
-		rep.Rows*tile, dur, width)
+	if animated {
+		// Progress bar: sweeps once per loop, left to right.
+		fmt.Fprintf(w, `<rect x="0" y="%d" width="0" height="4" fill="steelblue"><animate attributeName="width" dur="%.2fs" repeatCount="indefinite" values="0;%d"/></rect>`+"\n",
+			rep.Rows*tile, dur, width)
+	}
 	_, err := fmt.Fprintln(w, "</svg>")
 	return err
 }

@@ -8,11 +8,10 @@ import (
 
 	"overcell/internal/geom"
 	"overcell/internal/grid"
-	"overcell/internal/obs"
 	"overcell/internal/obs/congest"
 )
 
-func heatmapExample(t *testing.T) *obs.Heatmap {
+func heatmapExample(t *testing.T) congest.Frame {
 	t.Helper()
 	g, err := grid.Uniform(32, 16, 10)
 	if err != nil {
@@ -20,25 +19,25 @@ func heatmapExample(t *testing.T) *obs.Heatmap {
 	}
 	// Fully block the left quarter, leave the rest free.
 	g.BlockRect(geom.R(0, 0, 70, 150), grid.MaskBoth)
-	return obs.CollectHeatmap(g, 8)
+	return congest.Tile(g, 8)
 }
 
 func TestHeatmapASCII(t *testing.T) {
-	h := heatmapExample(t)
-	out := HeatmapASCII(h)
+	f := heatmapExample(t)
+	out := HeatmapASCII(f)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != h.Rows+1 {
-		t.Fatalf("lines = %d, want %d tiles + header", len(lines), h.Rows+1)
+	if len(lines) != f.Rows+1 {
+		t.Fatalf("lines = %d, want %d tiles + header", len(lines), f.Rows+1)
 	}
-	if !strings.Contains(lines[0], "congestion heatmap") {
-		t.Errorf("missing header: %s", lines[0])
+	if !strings.Contains(lines[0], "congestion heatmap 4x2 tiles, 8 tracks/tile, max=1.00") {
+		t.Errorf("header: %s", lines[0])
 	}
 	// The blocked left edge renders hot, the free right edge cold.
 	row := lines[1]
 	if row[0] != '@' || row[len(row)-1] != ' ' {
 		t.Errorf("tile shades wrong: %q", row)
 	}
-	if HeatmapASCII(h) != out {
+	if HeatmapASCII(f) != out {
 		t.Error("ASCII heatmap not deterministic")
 	}
 }
@@ -60,8 +59,8 @@ func TestCongestionSVG(t *testing.T) {
 	if !strings.Contains(out, "<svg") || !strings.Contains(out, "</svg>") {
 		t.Fatalf("not an svg document:\n%s", out)
 	}
-	if !strings.Contains(out, "<animate") {
-		t.Fatalf("animated frames missing:\n%s", out)
+	if !strings.Contains(out, "<animate") || !strings.Contains(out, "steelblue") {
+		t.Fatalf("animated frames or progress bar missing:\n%s", out)
 	}
 
 	// Empty report degrades to the placeholder, not an error.
@@ -103,20 +102,28 @@ func TestCongestionSVGStridesLongSeries(t *testing.T) {
 	}
 }
 
-func TestHeatmapSVG(t *testing.T) {
-	h := heatmapExample(t)
+// TestCongestionSVGStaticFrame: a one-frame report is the static
+// post-run heatmap — plain rects with per-tile tooltips, no animation
+// and no progress bar.
+func TestCongestionSVGStaticFrame(t *testing.T) {
+	f := heatmapExample(t)
 	var buf bytes.Buffer
-	if err := HeatmapSVG(&buf, h); err != nil {
+	if err := CongestionSVG(&buf, f.Report()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"<svg", "</svg>", "rgb(255,0,", "occ=1.00"} {
+	for _, want := range []string{`viewBox="0 0 48 24"`, "</svg>", "rgb(255,0,", "<title>tile (0,1) occ=1.00</title>"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("SVG missing %q", want)
 		}
 	}
+	for _, absent := range []string{"<animate", "steelblue"} {
+		if strings.Contains(out, absent) {
+			t.Errorf("static heatmap carries %q", absent)
+		}
+	}
 	// Free tiles are skipped entirely (white background shows through).
-	if got := strings.Count(out, "<rect"); got != 1+h.Rows*(h.Cols/4) {
-		t.Errorf("rect count = %d, want background + %d hot tiles", got, h.Rows*(h.Cols/4))
+	if got := strings.Count(out, "<rect"); got != 1+f.Rows*(f.Cols/4) {
+		t.Errorf("rect count = %d, want background + %d hot tiles", got, f.Rows*(f.Cols/4))
 	}
 }

@@ -25,9 +25,6 @@ import (
 	"time"
 
 	"overcell/internal/gen"
-	"overcell/internal/obs"
-	"overcell/internal/obs/perf"
-	"overcell/internal/obs/span"
 	"overcell/internal/serve/journal"
 )
 
@@ -114,17 +111,14 @@ func (s *Server) noteID(id string) {
 func (s *Server) recoverFinished(st *journal.RunState) {
 	done := make(chan struct{})
 	close(done)
-	ru := &run{
+	ru := newRun(&run{
 		id: st.ID, flowName: st.Flow, instance: st.Name,
 		state: st.State, submitted: st.Accepted,
 		started: st.Started, finished: st.Finished, err: st.Error,
 		instHash: st.InstanceHash, resultHash: st.ResultHash,
 		attempts: st.Attempts, recovered: true,
 		cancel: func() {}, done: done,
-		builder:   span.NewBuilder(st.ID, nil),
-		collector: obs.NewCollector(),
-		perf:      perf.New(perf.Options{Run: st.ID}),
-	}
+	})
 	if r := st.Result; r != nil {
 		ru.resRec = &RunResult{
 			Flow: r.Flow, Area: r.Area, Width: r.Width, Height: r.Height,
@@ -144,16 +138,13 @@ func (s *Server) recoverFinished(st *journal.RunState) {
 // run (payload unparseable, flow unknown to this binary); such a run
 // is finalised as failed — visibly, not silently dropped.
 func (s *Server) requeue(st *journal.RunState) bool {
-	ru := &run{
+	ru := newRun(&run{
 		id: st.ID, flowName: st.Flow, instance: st.Name,
 		state: StatePending, submitted: st.Accepted,
 		instHash: st.InstanceHash, recovered: true,
-		heatWin:   st.Opts.HeatWin,
-		done:      make(chan struct{}),
-		builder:   span.NewBuilder(st.ID, nil),
-		collector: obs.NewCollector(),
-		perf:      perf.New(perf.Options{Run: st.ID}),
-	}
+		heatWin: st.Opts.HeatWin,
+		done:    make(chan struct{}),
+	})
 	inst, err := gen.ReadJSON(bytes.NewReader(st.Instance))
 	fn, known := s.flows[st.Flow]
 	if err == nil && !known {

@@ -74,21 +74,27 @@ func TestPerfEndpointAndListFields(t *testing.T) {
 		t.Fatalf("run %s absent from list", st.ID)
 	}
 
-	// The finished run folded into the cumulative perf families.
+	// The finished run folded into the cumulative allocation family;
+	// phase wall time is exported once, by the live phase family.
 	code, body = getBody(t, ts.URL+"/metrics")
 	if code != 200 {
 		t.Fatalf("metrics = %d", code)
 	}
 	for _, want := range []string{
-		`ocroute_perf_phase_wall_ns_total{phase="level-b"}`,
+		`ocroute_phase_ns_total{phase="level-b"}`,
 		`ocroute_perf_phase_allocs_total{phase="level-a"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
-	if strings.Contains(body, `ocroute_perf_phase_wall_ns_total{phase="level-b"} 0`+"\n") {
+	if strings.Contains(body, `ocroute_phase_ns_total{phase="level-b"} 0`+"\n") {
 		t.Error("level-b wall counter still zero after a routed job")
+	}
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "ocroute_perf_") && !strings.HasPrefix(line, "ocroute_perf_phase_allocs_total{") {
+			t.Errorf("unexpected perf family (phase wall time is ocroute_phase_ns_total's alone): %s", line)
+		}
 	}
 }
 

@@ -31,19 +31,20 @@
 // MaxPending caps the queue behind it, and a full queue rejects
 // further submissions with 503.
 //
-// Every run feeds six observers at once: the shared goroutine-safe
-// metrics registry adapter (live /metrics counters), a per-run
-// span.Builder (the run → phase → net trace), a per-run obs.Collector
-// (the aggregate summary shown in the run detail), a per-run
-// perf.Collector (the /runs/{id}/perf attribution report, folded into
-// the cumulative ocroute_perf_* families when the run finishes), a
-// per-run stream.Broker (the /runs/{id}/events SSE fan-out) and a
-// per-run congest.Series (the /runs/{id}/congestion time-series,
-// sampled at net commit boundaries). Runs execute under pprof labels
-// (run, phase), so profiles captured via /debug/pprof
-// while a job routes are attributable. Config.StreamCap = -1 turns the
-// stream and congestion observers off entirely, restoring the PR 8
-// tracer chain.
+// Each run is observed once per quantity. Its tracer chain fans every
+// event out to the shared metrics adapter (live /metrics, phase wall
+// time included), the run's span.Builder (run → phase → net trace),
+// its obs.Collector (the summary in the run detail) and its
+// stream.Broker (the /runs/{id}/events SSE fan-out). Its perf.Collector
+// (flow.Options.Perf) serves /runs/{id}/perf and folds per-phase
+// allocations into ocroute_perf_phase_allocs_total when the run
+// finishes. Its congest.Series, sampled at net commit boundaries,
+// serves /runs/{id}/congestion; the finished run's heatmap.svg is
+// congest.Tile of the level B grid, the same measure as the series'
+// last frame. Runs execute under pprof labels (run, phase), so
+// profiles captured via /debug/pprof while a job routes are
+// attributable. Config.StreamCap = -1 turns the broker and the series
+// off.
 package serve
 
 import (
@@ -181,10 +182,11 @@ type Server struct {
 	congestUtilH   *metrics.Gauge
 	congestUtilV   *metrics.Gauge
 
-	// ocroute_perf_* families: cumulative perf-report attribution
-	// folded in as each run finishes. Pre-registered so the families
-	// appear in /metrics before the first run completes.
-	perfPhaseWall   map[string]*metrics.Counter
+	// ocroute_perf_phase_allocs_total: cumulative perf-report
+	// allocation attribution folded in as each run finishes.
+	// Pre-registered so the family appears in /metrics before the first
+	// run completes. Phase wall time needs no fold: the live
+	// ocroute_phase_ns_total already sums the same phase_end durations.
 	perfPhaseAllocs map[string]*metrics.Counter
 
 	mu     sync.Mutex
@@ -230,7 +232,17 @@ type run struct {
 
 	res    *flow.Result
 	resRec *RunResult // summary view; survives restarts when res cannot
-	heat   *obs.Heatmap
+	heat   *congest.Frame
+}
+
+// newRun equips ru with the per-run observers every run record
+// carries, fresh or recovered: the span builder, the aggregate
+// collector and the perf collector, all keyed by ru.id.
+func newRun(ru *run) *run {
+	ru.builder = span.NewBuilder(ru.id, nil)
+	ru.collector = obs.NewCollector()
+	ru.perf = perf.New(perf.Options{Run: ru.id})
+	return ru
 }
 
 // New builds a Server with its own metrics registry.
@@ -289,11 +301,8 @@ func New(cfg Config) *Server {
 		"Journal appends that failed; the run proceeded without durability for that record.")
 	s.drainG = reg.Gauge("ocserved_draining",
 		"1 while the server is draining (rejecting new runs, waiting for in-flight ones).")
-	s.perfPhaseWall = make(map[string]*metrics.Counter)
 	s.perfPhaseAllocs = make(map[string]*metrics.Counter)
 	for _, ph := range []string{"level-a", "level-b", "verify"} {
-		s.perfPhaseWall[ph] = reg.Counter("ocroute_perf_phase_wall_ns_total",
-			"Wall time attributed to each flow phase by the perf layer.", metrics.L("phase", ph))
 		s.perfPhaseAllocs[ph] = reg.Counter("ocroute_perf_phase_allocs_total",
 			"Heap allocations attributed to each flow phase by the perf layer.", metrics.L("phase", ph))
 	}
@@ -495,15 +504,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.nextID++
 	id := fmt.Sprintf("run-%d", s.nextID)
-	ru := &run{
+	ru := newRun(&run{
 		id: id, flowName: req.Flow, instance: inst.Name,
 		state: StatePending, submitted: time.Now(), heatWin: req.HeatWin, //oc:clock-ok run lifecycle timestamps are ops metadata, not routing inputs
 		instHash: instHash,
 		cancel:   cancel, done: make(chan struct{}),
-		builder:   span.NewBuilder(id, nil),
-		collector: obs.NewCollector(),
-		perf:      perf.New(perf.Options{Run: id}),
-	}
+	})
 	s.attachTelemetry(ru)
 	s.runs[id] = ru
 	s.order = append(s.order, id)
@@ -654,9 +660,10 @@ func (s *Server) execute(ctx context.Context, ru *run, fn flowFn, inst *gen.Inst
 // terminal record. The first terminal transition wins — a cancel
 // racing a natural completion finalises (and journals) exactly once.
 func (s *Server) transition(ru *run, state string, res *flow.Result, err error) {
-	var heat *obs.Heatmap
+	var heat *congest.Frame
 	if res != nil && res.BGrid != nil {
-		heat = obs.CollectHeatmap(res.BGrid, ru.heatWin)
+		f := congest.Tile(res.BGrid, ru.heatWin)
+		heat = &f
 	}
 	s.mu.Lock()
 	if terminalState(ru.state) {
@@ -760,27 +767,20 @@ func terminalState(st string) bool {
 	return false
 }
 
-// foldPerf accumulates one finished run's perf report into the
-// cumulative ocroute_perf_* families. Phases outside the pre-registered
+// foldPerf accumulates one finished run's per-phase allocations into
+// ocroute_perf_phase_allocs_total. Phases outside the pre-registered
 // vocabulary register their series on first use; s.mu guards the
-// family maps against concurrently finishing runs.
+// family map against concurrently finishing runs.
 func (s *Server) foldPerf(rep *perf.Report) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, p := range rep.Phases {
-		wall, ok := s.perfPhaseWall[p.Name]
-		if !ok {
-			wall = s.reg.Counter("ocroute_perf_phase_wall_ns_total",
-				"Wall time attributed to each flow phase by the perf layer.", metrics.L("phase", p.Name))
-			s.perfPhaseWall[p.Name] = wall
-		}
 		allocs, ok := s.perfPhaseAllocs[p.Name]
 		if !ok {
 			allocs = s.reg.Counter("ocroute_perf_phase_allocs_total",
 				"Heap allocations attributed to each flow phase by the perf layer.", metrics.L("phase", p.Name))
 			s.perfPhaseAllocs[p.Name] = allocs
 		}
-		wall.Add(p.WallNS)
 		allocs.Add(int64(p.Allocs))
 	}
 }
@@ -1026,7 +1026,7 @@ func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "image/svg+xml")
-	if err := render.HeatmapSVG(w, heat); err != nil {
+	if err := render.CongestionSVG(w, heat.Report()); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,6 +18,8 @@ import (
 	"overcell/internal/flow"
 	"overcell/internal/gen"
 	"overcell/internal/obs"
+	"overcell/internal/obs/congest"
+	"overcell/internal/render"
 	"overcell/internal/robust"
 )
 
@@ -444,6 +447,53 @@ func TestCongestionEndpoints(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestHeatmapMatchesCongestionSeries: the post-run heatmap and the
+// congestion series measure one quantity. The series' last frame is
+// congest.Tile of the finished level B grid, and heatmap.svg is that
+// frame drawn as a one-frame report.
+func TestHeatmapMatchesCongestionSeries(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const win = 6
+	_, st, raw := postRun(t, ts.URL, fmt.Sprintf("?flow=proposed&wait=1&heat_win=%d", win), testInstance(t))
+	if st.State != StateDone {
+		t.Fatalf("run = %s %.200s", st.State, raw)
+	}
+	_, body := getBody(t, ts.URL+"/runs/"+st.ID+"/congestion?frames=1")
+	var rep congest.Report
+	if err := json.Unmarshal([]byte(body), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Win != win || len(rep.Frames) == 0 {
+		t.Fatalf("series win %d with %d frames", rep.Win, len(rep.Frames))
+	}
+	last := rep.Frames[len(rep.Frames)-1]
+
+	s.mu.Lock()
+	res := s.runs[st.ID].res
+	s.mu.Unlock()
+	f := congest.Tile(res.BGrid, win)
+	if f.Cols != rep.Cols || f.Rows != rep.Rows || !slices.Equal(f.BP, last) {
+		t.Fatalf("Tile(BGrid) = %dx%d %v\nseries last frame = %dx%d %v",
+			f.Cols, f.Rows, f.BP, rep.Cols, rep.Rows, last)
+	}
+
+	code, svg := getBody(t, ts.URL+"/runs/"+st.ID+"/heatmap.svg")
+	if code != 200 {
+		t.Fatalf("heatmap.svg = %d %.200s", code, svg)
+	}
+	var want strings.Builder
+	one := &congest.Report{Win: rep.Win, Cols: rep.Cols, Rows: rep.Rows, Frames: [][]int{last}}
+	if err := render.CongestionSVG(&want, one); err != nil {
+		t.Fatal(err)
+	}
+	if svg != want.String() {
+		t.Fatalf("heatmap.svg is not the series' last frame:\n%s\n---\n%s", svg, want.String())
 	}
 }
 
