@@ -34,12 +34,13 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # fuzz smoke-runs each fuzz target for a short burst (go's -fuzz flag
-# accepts one target per invocation). Crashers land under
-# internal/robust/fault/testdata/fuzz/ and replay via plain `go test`.
+# accepts one target per invocation). Crashers land under each
+# package's testdata/fuzz/ and replay via plain `go test`.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/robust/fault -run='^$$' -fuzz=FuzzProposed -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/robust/fault -run='^$$' -fuzz=FuzzTIGSearch -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/grid -run='^$$' -fuzz=FuzzGridBlockMirror -fuzztime=$(FUZZTIME)
 
 # bench-json snapshots the perf trajectory as BENCH_<TAG>.json (see
 # cmd/benchjson); commit the file alongside the change it baselines.

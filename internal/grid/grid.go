@@ -67,6 +67,17 @@ type Grid struct {
 	blockH []geom.IntervalSet // per row: blocked column spans on LayerH
 	blockV []geom.IntervalSet // per column: blocked row spans on LayerV
 
+	// The same blockage as transposed bitmaps, one bit per grid point:
+	// hbits holds LayerH column-major (column i's rows are the words
+	// hbits[i*wy:(i+1)*wy]) and vbits holds LayerV row-major (row j's
+	// columns are vbits[j*wx:(j+1)*wx]). The search walks a track and
+	// asks, for every crossing track, whether the crossing is blocked
+	// on the crossing track's layer; the transposition makes those
+	// answers one contiguous bitset per track. Only addH/remH/addV/remV
+	// write blockH/blockV, and they update both representations.
+	hbits, vbits []uint64
+	wx, wy       int // words per row of vbits / per column of hbits
+
 	wireH []geom.IntervalSet // per row: columns covered by routed wire on LayerH
 	wireV []geom.IntervalSet // per column: rows covered by routed wire on LayerV
 
@@ -94,11 +105,16 @@ func New(xs, ys []int) (*Grid, error) {
 				j, ys[j-1], ys[j])
 		}
 	}
+	wx, wy := words(len(xs)), words(len(ys))
 	g := &Grid{
 		xs:     append([]int(nil), xs...),
 		ys:     append([]int(nil), ys...),
 		blockH: make([]geom.IntervalSet, len(ys)),
 		blockV: make([]geom.IntervalSet, len(xs)),
+		hbits:  make([]uint64, len(xs)*wy),
+		vbits:  make([]uint64, len(ys)*wx),
+		wx:     wx,
+		wy:     wy,
 		wireH:  make([]geom.IntervalSet, len(ys)),
 		wireV:  make([]geom.IntervalSet, len(xs)),
 		terms:  make([]geom.IntervalSet, len(ys)),
@@ -222,29 +238,86 @@ func (g *Grid) SpanLengthY(a, b int) int { return geom.Abs(g.ys[a] - g.ys[b]) }
 // Occupancy mutation
 // ---------------------------------------------------------------------------
 
+// words returns the number of 64-bit words holding n bits.
+func words(n int) int { return (n + 63) >> 6 }
+
+// addH blocks the column span cols of row on LayerH.
+func (g *Grid) addH(row int, cols geom.Interval) {
+	g.blockH[row].Add(cols)
+	setBits(g.hbits, row, g.wy, cols.Intersect(geom.Iv(0, len(g.xs)-1)), true)
+}
+
+// remH clears the column span cols of row on LayerH.
+func (g *Grid) remH(row int, cols geom.Interval) {
+	g.blockH[row].Remove(cols)
+	setBits(g.hbits, row, g.wy, cols.Intersect(geom.Iv(0, len(g.xs)-1)), false)
+}
+
+// addV blocks the row span rows of col on LayerV.
+func (g *Grid) addV(col int, rows geom.Interval) {
+	g.blockV[col].Add(rows)
+	setBits(g.vbits, col, g.wx, rows.Intersect(geom.Iv(0, len(g.ys)-1)), true)
+}
+
+// remV clears the row span rows of col on LayerV.
+func (g *Grid) remV(col int, rows geom.Interval) {
+	g.blockV[col].Remove(rows)
+	setBits(g.vbits, col, g.wx, rows.Intersect(geom.Iv(0, len(g.ys)-1)), false)
+}
+
+// setBits sets (or clears) bit `bit` in each of the major-order runs
+// span.Lo..span.Hi of a transposed bitmap with `stride` words per run.
+// A blocked span along one track touches one bit in each crossing
+// track's run.
+func setBits(bm []uint64, bit, stride int, span geom.Interval, on bool) {
+	w, m := bit>>6, uint64(1)<<(bit&63)
+	for k := span.Lo; k <= span.Hi; k++ {
+		if on {
+			bm[k*stride+w] |= m
+		} else {
+			bm[k*stride+w] &^= m
+		}
+	}
+}
+
+// HBlockedCol returns column col's LayerH blockage as a bitset over
+// rows: bit j is set when (col, j) is blocked on LayerH. The slice
+// aliases the grid's storage, so it reflects later mutations; callers
+// must not write it.
+func (g *Grid) HBlockedCol(col int) []uint64 {
+	return g.hbits[col*g.wy : (col+1)*g.wy : (col+1)*g.wy]
+}
+
+// VBlockedRow returns row row's LayerV blockage as a bitset over
+// columns: bit i is set when (i, row) is blocked on LayerV. It
+// aliases the grid's storage like HBlockedCol.
+func (g *Grid) VBlockedRow(row int) []uint64 {
+	return g.vbits[row*g.wx : (row+1)*g.wx : (row+1)*g.wx]
+}
+
 // BlockH marks the column span cols of row as blocked on LayerH.
-func (g *Grid) BlockH(row int, cols geom.Interval) { g.blockH[row].Add(cols) }
+func (g *Grid) BlockH(row int, cols geom.Interval) { g.addH(row, cols) }
 
 // UnblockH removes the column span from row's LayerH blockage.
-func (g *Grid) UnblockH(row int, cols geom.Interval) { g.blockH[row].Remove(cols) }
+func (g *Grid) UnblockH(row int, cols geom.Interval) { g.remH(row, cols) }
 
 // BlockV marks the row span rows of col as blocked on LayerV.
-func (g *Grid) BlockV(col int, rows geom.Interval) { g.blockV[col].Add(rows) }
+func (g *Grid) BlockV(col int, rows geom.Interval) { g.addV(col, rows) }
 
 // UnblockV removes the row span from col's LayerV blockage.
-func (g *Grid) UnblockV(col int, rows geom.Interval) { g.blockV[col].Remove(rows) }
+func (g *Grid) UnblockV(col int, rows geom.Interval) { g.remV(col, rows) }
 
 // BlockPoint blocks the single grid point on both layers (a via or a
 // terminal stack).
 func (g *Grid) BlockPoint(col, row int) {
-	g.blockH[row].AddPoint(col)
-	g.blockV[col].AddPoint(row)
+	g.addH(row, geom.Iv(col, col))
+	g.addV(col, geom.Iv(row, row))
 }
 
 // UnblockPoint removes the single grid point from both layers.
 func (g *Grid) UnblockPoint(col, row int) {
-	g.blockH[row].Remove(geom.Iv(col, col))
-	g.blockV[col].Remove(geom.Iv(row, row))
+	g.remH(row, geom.Iv(col, col))
+	g.remV(col, geom.Iv(row, row))
 }
 
 // BlockRect blocks every grid point inside the layout rectangle r on
@@ -260,12 +333,12 @@ func (g *Grid) BlockRect(r geom.Rect, m Mask) {
 	}
 	if m&MaskH != 0 {
 		for j := rows.Lo; j <= rows.Hi; j++ {
-			g.blockH[j].Add(cols)
+			g.addH(j, cols)
 		}
 	}
 	if m&MaskV != 0 {
 		for i := cols.Lo; i <= cols.Hi; i++ {
-			g.blockV[i].Add(rows)
+			g.addV(i, rows)
 		}
 	}
 }
@@ -303,13 +376,13 @@ func (g *Grid) rowRange(y0, y1 int) (geom.Interval, bool) {
 // blocking it and adding it to the wire overlay used by the cost
 // function's routed-proximity term.
 func (g *Grid) CommitHWire(row int, cols geom.Interval) {
-	g.blockH[row].Add(cols)
+	g.addH(row, cols)
 	g.wireH[row].Add(cols)
 }
 
 // CommitVWire records a routed vertical wire on LayerV along col.
 func (g *Grid) CommitVWire(col int, rows geom.Interval) {
-	g.blockV[col].Add(rows)
+	g.addV(col, rows)
 	g.wireV[col].Add(rows)
 }
 
@@ -325,13 +398,13 @@ func (g *Grid) CommitVia(col, row int) {
 // blockage and wire overlay). Used by the router to make a net's own
 // metal transparent while extending the same net.
 func (g *Grid) LiftHWire(row int, cols geom.Interval) {
-	g.blockH[row].Remove(cols)
+	g.remH(row, cols)
 	g.wireH[row].Remove(cols)
 }
 
 // LiftVWire removes a previously committed vertical wire.
 func (g *Grid) LiftVWire(col int, rows geom.Interval) {
-	g.blockV[col].Remove(rows)
+	g.remV(col, rows)
 	g.wireV[col].Remove(rows)
 }
 
@@ -376,7 +449,8 @@ func (g *Grid) VFree(col int, rows geom.Interval) bool {
 // PointFree reports whether the grid point is clear on both layers,
 // i.e. usable as a corner via or terminal landing.
 func (g *Grid) PointFree(col, row int) bool {
-	return !g.blockH[row].Contains(col) && !g.blockV[col].Contains(row)
+	return g.HBlockedCol(col)[row>>6]&(1<<(row&63)) == 0 &&
+		g.VBlockedRow(row)[col>>6]&(1<<(col&63)) == 0
 }
 
 // HClearSpan returns the maximal clear column span on row's LayerH

@@ -22,14 +22,20 @@ package tig
 
 import (
 	"fmt"
+	"math/bits"
 
 	"overcell/internal/geom"
 	"overcell/internal/obs"
 	"overcell/internal/robust"
 )
 
-// Surface is the occupancy oracle the search consults. *grid.Grid
-// implements it; tests may substitute synthetic surfaces.
+// Surface is the occupancy oracle the search consults; *grid.Grid is
+// its one implementation. The search asks it two kinds of question: how
+// far a node's own track is clear around its entry (HClearSpan,
+// VClearSpan, one interval-set lookup per node), and which crossings
+// along that span are blocked on the crossing track's layer
+// (HBlockedCol, VBlockedRow, one bitset per node read a word at a
+// time).
 type Surface interface {
 	// NX and NY return the number of vertical and horizontal tracks.
 	NX() int
@@ -40,6 +46,13 @@ type Surface interface {
 	HClearSpan(row, col int, bounds geom.Interval) (geom.Interval, bool)
 	// VClearSpan is the vertical analogue.
 	VClearSpan(col, row int, bounds geom.Interval) (geom.Interval, bool)
+	// HBlockedCol returns the horizontal-layer blockage of column col
+	// as a bitset over rows (bit j of word j/64 set when (col, j) is
+	// blocked on the horizontal layer). VBlockedRow returns the
+	// vertical-layer blockage of row row as a bitset over columns. The
+	// slices alias the surface and must not be written.
+	HBlockedCol(col int) []uint64
+	VBlockedRow(row int) []uint64
 	// PointFree reports whether the grid point is clear on both
 	// layers, i.e. the track intersection is usable for a corner.
 	PointFree(col, row int) bool
@@ -502,7 +515,8 @@ func (st *Searcher) complete(n *Node, from Point) (Path, bool) {
 }
 
 // expand creates the children of n: every perpendicular track crossing
-// n's clear span at a usable intersection, subject to the visit rule.
+// n's clear span at a usable intersection, subject to the visit rule,
+// in ascending order along the span.
 // Children are appended to the next-level frontier and charged against
 // the search budget; once the budget trips, expansion stops producing
 // work.
@@ -516,35 +530,43 @@ func (st *Searcher) expand(n *Node) {
 	if !ok {
 		return
 	}
+	// A crossing at position q of n's span is usable when it is clear
+	// on the child track's layer: for a vertical node that is the
+	// horizontal layer at (n's column, q), for a horizontal node the
+	// vertical layer at (q, n's row). The surface keeps exactly those
+	// bits contiguous per track, so the span is read a word at a time
+	// and only free crossings are visited, in ascending q.
+	var blocked []uint64
+	if n.Track.Vertical {
+		blocked = st.s.HBlockedCol(n.Track.Index)
+	} else {
+		blocked = st.s.VBlockedRow(n.Track.Index)
+	}
+	entry := n.Track.Index
 	added := 0
-	for q := span.Lo; q <= span.Hi; q++ {
-		if q == n.Entry {
-			continue // zero-length run: a corner on top of the previous one
+	for w := span.Lo >> 6; w <= span.Hi>>6; w++ {
+		free := ^blocked[w]
+		if w == span.Lo>>6 {
+			free &= ^uint64(0) << (span.Lo & 63)
 		}
-		var child Track
-		var entry int
-		var usable bool
-		if n.Track.Vertical {
-			// Corner at (n.Track.Index, q); child is horizontal track q.
-			child = Track{Vertical: false, Index: q}
-			entry = n.Track.Index
-			_, usable = st.s.HClearSpan(q, entry, st.cb)
-		} else {
-			child = Track{Vertical: true, Index: q}
-			entry = n.Track.Index
-			_, usable = st.s.VClearSpan(q, entry, st.rb)
+		if w == span.Hi>>6 {
+			free &= ^uint64(0) >> (63 - span.Hi&63)
 		}
-		if !usable {
-			continue
+		for ; free != 0; free &= free - 1 {
+			q := w<<6 | bits.TrailingZeros64(free)
+			if q == n.Entry {
+				continue // zero-length run: a corner on top of the previous one
+			}
+			child := Track{Vertical: !n.Track.Vertical, Index: q}
+			if !st.admit(child, n.Level+1) {
+				continue
+			}
+			c := st.arena.alloc(child, entry, n.Level+1, n)
+			n.Children = append(n.Children, c)
+			st.next = append(st.next, c)
+			st.expanded++
+			added++
 		}
-		if !st.admit(child, n.Level+1) {
-			continue
-		}
-		c := st.arena.alloc(child, entry, n.Level+1, n)
-		n.Children = append(n.Children, c)
-		st.next = append(st.next, c)
-		st.expanded++
-		added++
 	}
 	if err := st.budget.Charge(added); err != nil {
 		st.err = err

@@ -23,8 +23,17 @@ func Conflicts(res *core.Result) error {
 		id   netlist.NetID
 		name string
 	}
-	layerH := map[tig.Point]claim{}
-	layerV := map[tig.Point]claim{}
+	// Size the claim maps from the result up front: growing them
+	// point by point rehashes repeatedly and dominated the check.
+	nh, nv := 0, 0
+	for _, nr := range res.Routes {
+		h, v := segmentPoints(nr.Segments)
+		stacks := len(nr.Vias) + len(nr.Terminals)
+		nh += h + stacks
+		nv += v + stacks
+	}
+	layerH := make(map[tig.Point]claim, nh)
+	layerV := make(map[tig.Point]claim, nv)
 	occupy := func(m map[tig.Point]claim, p tig.Point, c claim, what string) error {
 		if prev, ok := m[p]; ok && prev.id != c.id {
 			return fmt.Errorf("verify: %s conflict at %v between %q and %q", what, p, prev.name, c.name)
@@ -67,6 +76,21 @@ func Conflicts(res *core.Result) error {
 	return nil
 }
 
+// segmentPoints returns how many grid points the segments cover on the
+// horizontal and on the vertical layer, counting a point once per
+// segment that covers it. It sizes the checkers' maps, for which an
+// upper bound on the distinct points is enough.
+func segmentPoints(segs []core.Segment) (h, v int) {
+	for _, s := range segs {
+		if s.Horizontal {
+			h += s.Hi - s.Lo + 1
+		} else {
+			v += s.Hi - s.Lo + 1
+		}
+	}
+	return h, v
+}
+
 // Connectivity checks that every successfully routed net electrically
 // links all its terminals. Connectivity is layer-aware: wire points
 // connect along their own layer; vias and terminal stacks bridge the
@@ -92,8 +116,9 @@ func netConnected(nr *core.NetRoute) error {
 		p     tig.Point
 		layer int
 	}
-	owner := map[node]int{}
-	parent := []int{}
+	h, v := segmentPoints(nr.Segments)
+	owner := make(map[node]int, h+v+2*(len(nr.Vias)+len(nr.Terminals)))
+	parent := make([]int, 0, len(nr.Segments)+len(nr.Vias)+len(nr.Terminals))
 	var find func(int) int
 	find = func(x int) int {
 		for parent[x] != x {
